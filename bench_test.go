@@ -15,7 +15,6 @@ import (
 	"thor/internal/eval"
 	"thor/internal/experiments"
 	"thor/internal/kg"
-	"thor/internal/matcher"
 	"thor/internal/thor"
 )
 
@@ -246,34 +245,6 @@ func BenchmarkExtensionKGFilter(b *testing.B) {
 		b.ReportMetric(filtered.Recall(), "R/kg-filter")
 	}
 }
-
-// benchQuant measures repeated extraction over the full Disease A-Z corpus
-// with the int8 propose tier on or off, on a warm pipeline so the timed loop
-// isolates the per-run matching sweep (fine-tuning is paid before the timer).
-func benchQuant(b *testing.B, disable bool) {
-	ds := experiments.DiseaseDataset()
-	p, err := thor.New(ds.TestTable(), ds.Space, thor.Config{
-		Tau: experiments.BestTau, Knowledge: ds.Table, Lexicon: ds.Lexicon,
-		Matcher: matcher.Config{DisableQuant: disable},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(ds.Test.Docs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMatchQuantOn / BenchmarkMatchQuantOff are the quantized propose
-// tier's A/B pair: identical workloads and bit-identical outputs (enforced
-// by the equivalence tests), differing only in whether candidate rows are
-// screened by the int8 sketch bound before any float64 work. cmd/benchdiff
-// guards the pair's ratio in CI.
-func BenchmarkMatchQuantOn(b *testing.B)  { benchQuant(b, false) }
-func BenchmarkMatchQuantOff(b *testing.B) { benchQuant(b, true) }
 
 // BenchmarkPipelineParallel measures the worker pool over the full Disease
 // A-Z test corpus. (On a single-core host the two settings coincide; the

@@ -42,7 +42,6 @@ func run() int {
 		queueDepth    = flag.Int("queue-depth", 64, "admission queue depth in requests; beyond it requests are shed with 503")
 		maxDocs       = flag.Int("max-docs", 0, "maximum documents per request (0 = batch-max)")
 		docTimeout    = flag.Duration("doc-timeout", 0, "default per-document extraction deadline (0 = none)")
-		noQuant       = flag.Bool("no-quant", false, "disable the int8 quantized propose tier (results identical; A/B latency switch)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests before exiting anyway")
 		shardID       = flag.String("shard-id", "", "shard name reported on /readyz and X-Thor-Shard (for partitioned tiers behind thor-router)")
 		spanCap       = flag.Int("span-capacity", 4096, "span ring-buffer capacity for /debug/thor/spans")
@@ -236,7 +235,6 @@ func run() int {
 		QueueDepth:        *queueDepth,
 		MaxDocsPerRequest: *maxDocs,
 		DocTimeout:        *docTimeout,
-		DisableQuant:      *noQuant,
 		Metrics:           reg,
 		Tracer:            tracer,
 		Recorder:          recorder,

@@ -170,14 +170,6 @@ func (idx *ThresholdIndex) Neighbors(query Vector, tau float64) []Neighbor {
 // NeighborsQuery is Neighbors for a precomputed query (which must have been
 // built by this index's Basis).
 func (idx *ThresholdIndex) NeighborsQuery(q *Query, tau float64) []Neighbor {
-	return idx.NeighborsQueryOpt(q, tau, true)
-}
-
-// NeighborsQueryOpt is NeighborsQuery with the int8 propose tier explicitly
-// enabled or disabled (see Matrix's quant tier — results are bit-identical
-// either way; the flag exists so matcher.Config.DisableQuant governs every
-// screen on its path).
-func (idx *ThresholdIndex) NeighborsQueryOpt(q *Query, tau float64, quant bool) []Neighbor {
 	n := idx.mat.Len()
 	if q.Zero() {
 		// CosineAt defines every similarity against a zero vector as 0.
@@ -190,52 +182,37 @@ func (idx *ThresholdIndex) NeighborsQueryOpt(q *Query, tau float64, quant bool) 
 		}
 		return out // rows are sorted words: already the tie-break order
 	}
-	quant = quant && idx.mat.qs.enable
-	var filtered, passed uint64
 	sc := idx.scratch.Get().(*idxScratch)
 	var out []Neighbor
-	// Fast path: score LSH bucket candidates by true cosine; with the quant
-	// tier on, candidates whose int8 bound already falls short of τ skip the
-	// full-width dot product (the bound is conservative, so nothing scoring
-	// ≥ τ is ever screened).
+	// Fast path: score LSH bucket candidates by true cosine.
 	sc.rows = idx.candidateRows(q, sc.seen, sc.rows[:0])
 	for _, i := range sc.rows {
-		if quant {
-			if idx.mat.quantBound(q, i)+boundMargin < tau {
-				filtered++
-				continue
-			}
-			passed++
-		}
 		if sim := idx.mat.Cosine(q, i); sim >= tau {
 			out = append(out, Neighbor{Word: idx.words[i], Sim: sim})
 		}
 	}
-	// Exact-verification fallback: screen everything LSH did not propose —
-	// int8 tier first, float64 sketch bound second — and score survivors by
-	// true cosine. This pass is what makes the result identical to the
-	// brute-force sweep rather than approximate.
+	var filtered uint64
+	passed := uint64(len(sc.rows)) // every LSH candidate reached the cosine
+	// Exact-verification fallback: screen everything LSH did not propose by
+	// the sketch bound and score survivors by true cosine. This pass is what
+	// makes the result identical to the brute-force sweep rather than
+	// approximate.
 	for i := 0; i < n; i++ {
 		if sc.seen[i] {
 			sc.seen[i] = false // reset scratch as we go
 			continue
 		}
-		if quant {
-			if idx.mat.quantBound(q, i)+boundMargin < tau {
-				filtered++
-				continue
-			}
-			passed++
-		}
 		if idx.mat.bound(q, i)+boundMargin < tau {
+			filtered++
 			continue
 		}
+		passed++
 		if sim := idx.mat.Cosine(q, i); sim >= tau {
 			out = append(out, Neighbor{Word: idx.words[i], Sim: sim})
 		}
 	}
 	idx.scratch.Put(sc)
-	addQuantStats(filtered, passed)
+	addSweepStats(filtered, passed)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Sim != out[j].Sim {
 			return out[i].Sim > out[j].Sim

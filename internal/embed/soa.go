@@ -1,6 +1,9 @@
 package embed
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // This file implements the vectorized (structure-of-arrays) form of the
 // similarity sweeps the matcher runs millions of times per pipeline: a
@@ -21,6 +24,31 @@ import "math"
 // (Cauchy–Schwarz on the component outside the sketch subspace). Sweeps use
 // the bound only to skip rows that provably cannot beat the current best or
 // reach a threshold, so pruned sweeps return exactly what full sweeps do.
+
+// sketchFiltered and sketchPassed count, package-wide, the rows the sketch
+// bound rejected versus let through to the exact cosine. Sweeps accumulate
+// locally and flush once per sweep, so the counters cost two atomic adds per
+// sweep.
+var sketchFiltered, sketchPassed atomic.Uint64
+
+// QuantCounters returns the cumulative number of rows the sketch bound
+// rejected (filtered) and the rows that reached the exact cosine (passed)
+// since process start. Intended for telemetry deltas; both counters are
+// monotonic. The name predates the removal of the int8 screen that used to
+// sit in front of the sketch bound.
+func QuantCounters() (filtered, passed uint64) {
+	return sketchFiltered.Load(), sketchPassed.Load()
+}
+
+// addSweepStats flushes one sweep's screening tallies.
+func addSweepStats(filtered, passed uint64) {
+	if filtered != 0 {
+		sketchFiltered.Add(filtered)
+	}
+	if passed != 0 {
+		sketchPassed.Add(passed)
+	}
+}
 
 // SketchDim is the dimensionality of the pruning sketch. The basis is built
 // from the data's dominant directions (see NewBasis), so a couple dozen
@@ -175,12 +203,6 @@ type Query struct {
 	nv    float64
 	sk    [SketchDim]float64
 	resid float64
-	// q8/qscale/qslack are the query's int8-quantized sketch for the quant
-	// propose tier (see quant.go); always built, used only against matrices
-	// with the tier enabled.
-	q8     [SketchDim]int8
-	qscale float64
-	qslack float64
 }
 
 // Query precomputes the sweep view of v under the basis.
@@ -192,7 +214,6 @@ func (b *Basis) Query(v Vector) Query {
 		q.nv += f * f
 	}
 	q.resid = b.sketch(q.comps[:], q.nv, q.sk[:])
-	q.qscale, q.qslack = quantizeSketch(q.sk[:], q.q8[:])
 	return q
 }
 
@@ -210,20 +231,11 @@ type Matrix struct {
 	norm  []float64 // per-row squared norm, accumulated exactly as CosineAt does
 	sk    []float64 // n rows of SketchDim unit-direction coordinates
 	resid []float64 // per-row off-span residual norm
-	qs    quantSketch
 }
 
-// NewMatrix flattens vs under the basis with the int8 propose tier enabled.
-// The rows keep their order, so row indices align with the caller's slice.
+// NewMatrix flattens vs under the basis. The rows keep their order, so row
+// indices align with the caller's slice.
 func NewMatrix(b *Basis, vs []Vector) *Matrix {
-	return NewMatrixQuant(b, vs, true)
-}
-
-// NewMatrixQuant is NewMatrix with the int8 propose tier explicitly enabled
-// or disabled. Sweep results are bit-identical either way — the tier is a
-// screen, not an approximation — so disabling it is purely an ablation /
-// kill-switch knob (matcher.Config.DisableQuant).
-func NewMatrixQuant(b *Basis, vs []Vector, quant bool) *Matrix {
 	m := &Matrix{
 		basis: b,
 		n:     len(vs),
@@ -242,9 +254,6 @@ func NewMatrixQuant(b *Basis, vs []Vector, quant bool) *Matrix {
 		}
 		m.norm[i] = nw
 		m.resid[i] = b.sketch(row, nw, m.sk[i*SketchDim:(i+1)*SketchDim])
-	}
-	if quant {
-		m.quantize()
 	}
 	return m
 }
@@ -293,8 +302,8 @@ func (m *Matrix) bound(q *Query, i int) float64 {
 // attains the maximum among rows with cosine strictly greater than init
 // (-1 if no row exceeds init). It reproduces the sequential
 // "if sim > best { best = sim }" sweep exactly — including which index wins
-// on ties — while using the int8 propose tier (when enabled) and the float64
-// sketch bound to skip rows that provably cannot exceed the running best.
+// on ties — while using the sketch bound to skip rows that provably cannot
+// exceed the running best.
 func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 	bestI, best := -1, init
 	if q.nv == 0 {
@@ -304,32 +313,18 @@ func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 		}
 		return -1, init
 	}
-	if m.qs.enable {
-		var filtered, passed uint64
-		for i := 0; i < m.n; i++ {
-			if m.quantBound(q, i)+boundMargin < best {
-				filtered++
-				continue
-			}
-			passed++
-			if m.bound(q, i)+boundMargin < best {
-				continue
-			}
-			if c := m.Cosine(q, i); c > best {
-				best, bestI = c, i
-			}
-		}
-		addQuantStats(filtered, passed)
-		return bestI, best
-	}
+	var filtered, passed uint64
 	for i := 0; i < m.n; i++ {
 		if m.bound(q, i)+boundMargin < best {
+			filtered++
 			continue
 		}
+		passed++
 		if c := m.Cosine(q, i); c > best {
 			best, bestI = c, i
 		}
 	}
+	addSweepStats(filtered, passed)
 	return bestI, best
 }
 
@@ -344,10 +339,10 @@ func (m *Matrix) Max(q *Query, init float64) float64 {
 // lo..i (inclusive) for every i in [lo, hi), with the running maximum started
 // at floor — the prefix-maximum sweep backing the matcher's cross-τ fit
 // profiles. Prefix maxima above floor equal the sequential Cosine sweep's
-// exactly (both pruning tiers only skip rows that provably cannot raise the
-// running maximum, and the maximum of a set is order-independent); prefixes
-// whose true maximum does not exceed floor come back as floor itself, which
-// is what lets the tiers skip nearly every sub-floor row. dst must have
+// exactly (the bound only skips rows that provably cannot raise the running
+// maximum, and the maximum of a set is order-independent); prefixes whose
+// true maximum does not exceed floor come back as floor itself, which is what
+// lets the bound skip nearly every sub-floor row. dst must have
 // length hi-lo.
 func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float64) {
 	if q.nv == 0 {
@@ -363,32 +358,19 @@ func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float
 		return
 	}
 	run := floor
-	if m.qs.enable {
-		var filtered, passed uint64
-		for i := lo; i < hi; i++ {
-			if m.quantBound(q, i)+boundMargin < run {
-				filtered++
-			} else {
-				passed++
-				if m.bound(q, i)+boundMargin >= run {
-					if c := m.Cosine(q, i); c > run {
-						run = c
-					}
-				}
-			}
-			dst[i-lo] = run
-		}
-		addQuantStats(filtered, passed)
-		return
-	}
+	var filtered, passed uint64
 	for i := lo; i < hi; i++ {
-		if m.bound(q, i)+boundMargin >= run {
+		if m.bound(q, i)+boundMargin < run {
+			filtered++
+		} else {
+			passed++
 			if c := m.Cosine(q, i); c > run {
 				run = c
 			}
 		}
 		dst[i-lo] = run
 	}
+	addSweepStats(filtered, passed)
 }
 
 // EachAtLeast calls f(i, sim) for every row whose cosine reaches tau, in row
@@ -404,30 +386,16 @@ func (m *Matrix) EachAtLeast(q *Query, tau float64, f func(i int, sim float64)) 
 		}
 		return
 	}
-	if m.qs.enable {
-		var filtered, passed uint64
-		for i := 0; i < m.n; i++ {
-			if m.quantBound(q, i)+boundMargin < tau {
-				filtered++
-				continue
-			}
-			passed++
-			if m.bound(q, i)+boundMargin < tau {
-				continue
-			}
-			if c := m.Cosine(q, i); c >= tau {
-				f(i, c)
-			}
-		}
-		addQuantStats(filtered, passed)
-		return
-	}
+	var filtered, passed uint64
 	for i := 0; i < m.n; i++ {
 		if m.bound(q, i)+boundMargin < tau {
+			filtered++
 			continue
 		}
+		passed++
 		if c := m.Cosine(q, i); c >= tau {
 			f(i, c)
 		}
 	}
+	addSweepStats(filtered, passed)
 }

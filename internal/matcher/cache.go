@@ -26,30 +26,21 @@ type cacheKey struct {
 // (schema.Table.ConceptFingerprint), not the whole table's: a seed cluster
 // is a pure function of its own column's values, so a table mutation that
 // leaves the column untouched keeps the entry warm (the incremental
-// invalidation live tables rely on). The
-// quantization setting IS part of the key: the shared seed matrix is built
-// with or without the int8 propose tier, so a config toggling
-// Config.DisableQuant must never be served an entry built under the other
-// setting (results would still be identical, but the toggle would silently
-// not apply — the stale-entry hazard TestCacheQuantKeySeparation pins).
+// invalidation live tables rely on).
 type seedKey struct {
 	index   *embed.ThresholdIndex
 	table   uint64
 	concept schema.Concept
-	quant   bool
 }
 
 // expandKey identifies a shared τ-expansion retrieval: the per-source
 // neighbor lists for one concept's seed heads, keyed — like seedKey — by the
 // concept's own instance-set fingerprint. τ is deliberately absent —
-// lists are stored at the lowest τ requested so far and prefix-cut upward —
-// while the quantization setting is present for the same staleness reason as
-// in seedKey.
+// lists are stored at the lowest τ requested so far and prefix-cut upward.
 type expandKey struct {
 	index   *embed.ThresholdIndex
 	table   uint64
 	concept schema.Concept
-	quant   bool
 }
 
 // expandEntry holds one concept's expansion lists, computed at tau (the
@@ -117,14 +108,13 @@ func (c *Cache) queriesFor(index *embed.ThresholdIndex) *cow.Map[string, *embed.
 }
 
 // seedsFor returns the shared seed cluster for (vocabulary snapshot, concept
-// instance-set fingerprint, concept, quant tier), building and storing it on
-// first request. A
-// threshold sweep fine-tunes once per τ, but the seed instances, their sweep
-// matrix and the best-seed memo are τ-independent, so every configuration at
-// the same quant setting shares one instance — later τ runs start with the
-// earlier runs' best-seed memo already warm.
-func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, quant bool, build func() *sharedSeeds) *sharedSeeds {
-	key := seedKey{index: index, table: table, concept: concept, quant: quant}
+// instance-set fingerprint, concept), building and storing it on first
+// request. A threshold sweep fine-tunes once per τ, but the seed instances,
+// their sweep matrix and the best-seed memo are τ-independent, so every
+// configuration shares one instance — later τ runs start with the earlier
+// runs' best-seed memo already warm.
+func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, build func() *sharedSeeds) *sharedSeeds {
+	key := seedKey{index: index, table: table, concept: concept}
 	c.seedMu.Lock()
 	defer c.seedMu.Unlock()
 	if sh, ok := c.seeds[key]; ok {
@@ -143,13 +133,13 @@ func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept sche
 // so far and serves higher thresholds by prefix cut — bit-identical to a
 // direct retrieval at that threshold. A request below the stored τ
 // recomputes and replaces the entry (a superset of the old one).
-func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, quant bool, tau float64, sources []Representative) [][]embed.Neighbor {
-	key := expandKey{index: index, table: table, concept: concept, quant: quant}
+func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, tau float64, sources []Representative) [][]embed.Neighbor {
+	key := expandKey{index: index, table: table, concept: concept}
 	c.expMu.Lock()
 	defer c.expMu.Unlock()
 	e, ok := c.exps[key]
 	if !ok || tau < e.tau || len(e.lists) != len(sources) {
-		e = &expandEntry{tau: tau, lists: expansionLists(index, sources, tau, quant)}
+		e = &expandEntry{tau: tau, lists: expansionLists(index, sources, tau)}
 		c.exps[key] = e
 	}
 	if tau == e.tau {
@@ -172,8 +162,8 @@ func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept 
 // if a later lower-τ request replaces the entry. heads must be the concept's
 // shared seed heads — identical for every caller of the same key by
 // construction.
-func (c *Cache) fitShareFor(index *embed.ThresholdIndex, space *embed.Space, table uint64, concept schema.Concept, quant bool, heads []Representative) *fitShare {
-	key := expandKey{index: index, table: table, concept: concept, quant: quant}
+func (c *Cache) fitShareFor(index *embed.ThresholdIndex, space *embed.Space, table uint64, concept schema.Concept, heads []Representative) *fitShare {
+	key := expandKey{index: index, table: table, concept: concept}
 	c.expMu.Lock()
 	e := c.exps[key]
 	c.expMu.Unlock()
@@ -181,7 +171,7 @@ func (c *Cache) fitShareFor(index *embed.ThresholdIndex, space *embed.Space, tab
 		return nil
 	}
 	e.shareOnce.Do(func() {
-		e.share = buildFitShare(space, index.Basis(), heads, e.lists, quant)
+		e.share = buildFitShare(space, index.Basis(), heads, e.lists)
 	})
 	return e.share
 }

@@ -241,17 +241,8 @@ func runEquivalence(t *testing.T, ds *datagen.Dataset, maxDocs int) {
 		if err != nil {
 			t.Fatalf("τ=%.1f: Cache.FineTune: %v", tau, err)
 		}
-		// The int8-quantized propose tier is a conservative screen, so turning
-		// it off must change nothing — same clusters, same candidates, same
-		// bits. Going through the same cache also exercises the quant-aware
-		// seed/expansion keys: the two settings must never share entries.
-		noQuant, err := cache.FineTune(ds.Space, ds.Table, Config{Tau: tau, DisableQuant: true})
-		if err != nil {
-			t.Fatalf("τ=%.1f: Cache.FineTune(DisableQuant): %v", tau, err)
-		}
 		checkClusterEquivalence(t, m, ref, tau)
 		checkClusterEquivalence(t, cached, ref, tau)
-		checkClusterEquivalence(t, noQuant, ref, tau)
 		ctx := m.NewContext()
 		for _, p := range phrases {
 			want := bruteMatch(ds.Space, ref, cfg, p)
@@ -261,8 +252,6 @@ func runEquivalence(t *testing.T, ds *datagen.Dataset, maxDocs int) {
 			// The cache-shared matcher (shared seed clusters and memos
 			// across the τ sweep) must agree too.
 			checkMatchEquivalence(t, cached.Match(p), want, tau, p)
-			// And so must the quant-disabled matcher, bit for bit.
-			checkMatchEquivalence(t, noQuant.Match(p), want, tau, p)
 		}
 	}
 }

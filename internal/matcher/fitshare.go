@@ -49,13 +49,13 @@ type fitShare struct {
 
 // buildFitShare constructs the shared fit model from the concept's seed heads
 // and its full cached expansion lists.
-func buildFitShare(space *embed.Space, basis *embed.Basis, heads []Representative, lists [][]embed.Neighbor, quant bool) *fitShare {
+func buildFitShare(space *embed.Space, basis *embed.Basis, heads []Representative, lists [][]embed.Neighbor) *fitShare {
 	s := &fitShare{prof: cow.New[string, []float64]()}
 	hv := make([]embed.Vector, len(heads))
 	for i := range heads {
 		hv[i] = heads[i].Vector
 	}
-	s.headMat = embed.NewMatrixQuant(basis, hv, quant)
+	s.headMat = embed.NewMatrix(basis, hv)
 	best := make(map[string]float64)
 	var order []string
 	for _, l := range lists {
@@ -80,7 +80,7 @@ func buildFitShare(space *embed.Space, basis *embed.Basis, heads []Representativ
 		vecs[i] = space.Lookup(w)
 		s.bestSim[i] = best[w]
 	}
-	s.expMat = embed.NewMatrixQuant(basis, vecs, quant)
+	s.expMat = embed.NewMatrix(basis, vecs)
 	return s
 }
 
@@ -95,8 +95,7 @@ func (s *fitShare) cutAt(tau float64) int {
 // the largest float64 below the acceptance floor — the same starting point
 // the per-τ sweeps use — so sub-floor maxima come back clamped (they are
 // consumed only through the `fit < floor` rejection test) while above-floor
-// maxima are exact, and the int8 tier and sketch bound skip nearly every
-// sub-floor row.
+// maxima are exact, and the sketch bound skips nearly every sub-floor row.
 func (s *fitShare) profile(head string, q *embed.Query) []float64 {
 	floor := math.Nextafter(acceptFloorBar, 0)
 	if p, ok := s.prof.Get(head); ok {

@@ -81,14 +81,6 @@ type Config struct {
 	// DisableExpansion turns off τ-expansion, keeping only seed words as
 	// representatives (ablation: seeds-only matcher).
 	DisableExpansion bool
-	// DisableQuant turns off the int8-quantized propose tier in every sweep
-	// on this matcher's path (cluster matrices and τ-expansion retrieval).
-	// Results are bit-identical either way — the tier is a conservative
-	// screen, not an approximation — so this is purely a kill switch for
-	// ablation and for isolating the tier in benchmarks. The flag is part of
-	// every Cache key: toggling it can never serve an entry built under the
-	// other setting.
-	DisableQuant bool
 }
 
 func (c Config) maxPerPhrase() int {
@@ -146,9 +138,8 @@ type sharedSeeds struct {
 }
 
 // buildSeedCluster constructs the shared seed model for one concept from its
-// table instances. quant selects whether the seed sweep matrix carries the
-// int8 propose tier.
-func buildSeedCluster(space *embed.Space, basis *embed.Basis, instances []string, quant bool) *sharedSeeds {
+// table instances.
+func buildSeedCluster(space *embed.Space, basis *embed.Basis, instances []string) *sharedSeeds {
 	sh := &sharedSeeds{memo: cow.New[string, string]()}
 	seenWord := make(map[string]bool)
 	seenSeed := make(map[string]bool)
@@ -176,7 +167,7 @@ func buildSeedCluster(space *embed.Space, basis *embed.Basis, instances []string
 	for i := range sh.seeds {
 		vecs[i] = sh.seeds[i].Vector
 	}
-	sh.mat = embed.NewMatrixQuant(basis, vecs, quant)
+	sh.mat = embed.NewMatrix(basis, vecs)
 	return sh
 }
 
@@ -210,12 +201,11 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 		// Sweep queries are τ-independent; share one memo across the sweep.
 		m.subQueries = cache.queriesFor(idx)
 	}
-	quant := !cfg.DisableQuant
 	for _, c := range table.Schema.Concepts {
 		if c == table.Schema.Subject && !cfg.IncludeSubject {
 			continue
 		}
-		build := func() *sharedSeeds { return buildSeedCluster(space, m.basis, table.ColumnValues(c), quant) }
+		build := func() *sharedSeeds { return buildSeedCluster(space, m.basis, table.ColumnValues(c)) }
 		var sh *sharedSeeds
 		var fp uint64
 		if cache != nil {
@@ -226,7 +216,7 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 			// untouched then re-fine-tunes through warm entries for it —
 			// only the mutated concepts rebuild.
 			fp = table.ConceptFingerprint(c)
-			sh = cache.seedsFor(idx, fp, c, quant, build)
+			sh = cache.seedsFor(idx, fp, c, build)
 		} else {
 			sh = build()
 		}
@@ -241,9 +231,9 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 			seedMemo: sh.memo,
 		}
 		if !cfg.DisableExpansion {
-			expandCluster(idx, space, cluster, cfg.Tau, quant, cache, fp)
+			expandCluster(idx, space, cluster, cfg.Tau, cache, fp)
 			if cache != nil {
-				if share := cache.fitShareFor(idx, space, fp, c, quant, sh.heads); share != nil {
+				if share := cache.fitShareFor(idx, space, fp, c, sh.heads); share != nil {
 					cluster.share = share
 					cluster.cut = share.cutAt(cfg.Tau)
 				}
@@ -265,12 +255,12 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 // tau) as non-seed representatives — the weak-supervision "fine-tuning"
 // step. Lower τ expands further into the embedding neighborhood. Retrieval
 // goes through the space's threshold index, whose results are identical to
-// brute-force Space.Neighbors scans (the int8 tier and LSH propose, exact
+// brute-force Space.Neighbors scans (LSH and the sketch bound screen, exact
 // cosine verifies). With a cache, the per-source neighbor lists are shared
 // across the whole τ sweep (see Cache.expansionFor): the sources — the seed
 // head words — are τ-independent, and a higher-τ list is an exact prefix of
 // a lower-τ list, so one retrieval pass serves every threshold bit-identically.
-func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conceptCluster, tau float64, quant bool, cache *Cache, fp uint64) {
+func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conceptCluster, tau float64, cache *Cache, fp uint64) {
 	sources := make([]Representative, len(cluster.words))
 	copy(sources, cluster.words)
 	seen := make(map[string]bool, len(sources))
@@ -279,9 +269,9 @@ func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conce
 	}
 	var lists [][]embed.Neighbor
 	if cache != nil {
-		lists = cache.expansionFor(idx, fp, cluster.concept, quant, tau, sources)
+		lists = cache.expansionFor(idx, fp, cluster.concept, tau, sources)
 	} else {
-		lists = expansionLists(idx, sources, tau, quant)
+		lists = expansionLists(idx, sources, tau)
 	}
 	for si, src := range sources {
 		for _, nb := range lists[si] {
@@ -302,11 +292,11 @@ func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conce
 // source order. Lists are sorted by decreasing similarity with alphabetical
 // tie-breaks (the index contract), which is what makes cross-τ prefix
 // sharing exact.
-func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau float64, quant bool) [][]embed.Neighbor {
+func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau float64) [][]embed.Neighbor {
 	lists := make([][]embed.Neighbor, len(sources))
 	for i := range sources {
 		q := idx.Query(sources[i].Vector)
-		lists[i] = idx.NeighborsQueryOpt(&q, tau, quant)
+		lists[i] = idx.NeighborsQuery(&q, tau)
 	}
 	return lists
 }
@@ -330,7 +320,7 @@ func (m *Matcher) vectorize() {
 				cl.byRow[r] = i
 			}
 		}
-		cl.wordMat = embed.NewMatrixQuant(m.basis, wordVecs, !m.cfg.DisableQuant)
+		cl.wordMat = embed.NewMatrix(m.basis, wordVecs)
 	}
 }
 
@@ -396,12 +386,6 @@ func (m *Matcher) computeFits(head string) []float64 {
 		init := floor
 		for _, r := range rows {
 			if li, ok := cl.byRow[r]; ok {
-				// The int8 tier screens priming candidates against the
-				// running init: a skipped prime could not have raised it,
-				// so the final maximum is unchanged.
-				if !cl.wordMat.CanExceed(&q, li, init) {
-					continue
-				}
 				if c := cl.wordMat.Cosine(&q, li); c > init {
 					init = c
 				}

@@ -223,3 +223,22 @@ func TestExplain(t *testing.T) {
 		t.Errorf("empty phrase explained: %v", got)
 	}
 }
+
+// TestMatchBufReuse pins the MatchBuf contract: the returned slice is scratch
+// that the next call may overwrite, while Match hands out an independent copy.
+func TestMatchBufReuse(t *testing.T) {
+	m := newMatcher(t, 0.7)
+	ctx := m.NewContext()
+	p1 := phrase.Phrase{Words: []string{"nervous", "system"}}
+	p2 := phrase.Phrase{Words: []string{"skin", "cancer"}}
+	buf := ctx.MatchBuf(p1)
+	if len(buf) == 0 {
+		t.Fatal("no candidates for the seed phrase")
+	}
+	first := buf[0]
+	copied := ctx.Match(p1)
+	ctx.MatchBuf(p2) // overwrites the scratch behind buf
+	if copied[0] != first {
+		t.Fatalf("Match copy mutated by later MatchBuf: %+v vs %+v", copied[0], first)
+	}
+}

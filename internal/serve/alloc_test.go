@@ -143,25 +143,3 @@ func TestServeZeroAllocAfterUnrelatedMutation(t *testing.T) {
 		t.Errorf("post-swap warm batch allocates %.1f allocs/op, budget %.0f", allocs, budget)
 	}
 }
-
-// TestServerDisableQuantIdentical asserts the serving contract of the int8
-// propose tier: a server with Options.DisableQuant answers /v1/fill with
-// byte-identical payloads to the default server.
-func TestServerDisableQuantIdentical(t *testing.T) {
-	_, tsOn := startEngine(t, Options{}, nil)
-	_, tsOff := startEngine(t, Options{DisableQuant: true}, nil)
-	req := Request{Documents: worldDocs, Explain: true}
-	stOn, rawOn, _ := postJSON(t, tsOn.Client(), tsOn.URL+"/v1/fill", req)
-	stOff, rawOff, _ := postJSON(t, tsOff.Client(), tsOff.URL+"/v1/fill", req)
-	if stOn != 200 || stOff != 200 {
-		t.Fatalf("status on=%d off=%d", stOn, stOff)
-	}
-	on, off := decodeResponse(t, rawOn), decodeResponse(t, rawOff)
-	// Stats carry wall-clock fields; compare the semantic payload.
-	if !reflect.DeepEqual(on.Entities, off.Entities) {
-		t.Errorf("entities differ:\nquant on:  %+v\nquant off: %+v", on.Entities, off.Entities)
-	}
-	if !reflect.DeepEqual(on.Assignments, off.Assignments) {
-		t.Errorf("assignments differ:\nquant on:  %+v\nquant off: %+v", on.Assignments, off.Assignments)
-	}
-}

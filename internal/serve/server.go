@@ -75,11 +75,6 @@ type Options struct {
 	// DocTimeout is the default per-document extraction deadline applied
 	// when a request does not set doc_timeout_ms. Zero means none.
 	DocTimeout time.Duration
-	// DisableQuant turns off the matcher's int8 propose tier. Results are
-	// bit-for-bit identical either way (the tier only screens candidates
-	// that exact float64 verification would reject); the switch exists for
-	// A/B latency comparison and debugging.
-	DisableQuant bool
 	// Metrics, when set, receives the serving metrics (serve.* counters,
 	// gauges and histograms) in addition to the pipeline's thor.* ones.
 	Metrics *obs.Registry
@@ -369,7 +364,6 @@ func (s *Server) runConfig() thor.Config {
 		CollectDocResults:  true,
 		MaxFailureFraction: 1,
 		SkipFill:           true,
-		Matcher:            matcher.Config{DisableQuant: s.opts.DisableQuant},
 		Metrics:            s.opts.Metrics,
 		Tracer:             s.opts.Tracer,
 		FaultHook:          s.opts.FaultHook,

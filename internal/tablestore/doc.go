@@ -22,5 +22,5 @@
 // Snapshots persist in the compact THORTBL1 binary format (Store.WriteTo /
 // ReadFrom): length-prefixed strings in schema order with a trailing CRC-32C,
 // loadable in milliseconds where re-deriving the same table from JSON costs
-// an order of magnitude more (see BenchmarkSnapshotLoad).
+// several times more (see BenchmarkSnapshotLoadBinary/JSON).
 package tablestore

@@ -1,8 +1,11 @@
 package thor
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -320,5 +323,37 @@ func TestChaosInjectionEndToEnd(t *testing.T) {
 		if csvOf(t, res.Table) != csvOf(t, clean.Table) {
 			t.Errorf("seed %d: tables differ", seed)
 		}
+	}
+}
+
+// TestRunOptionsOverrides checks RunContextOpts: a per-run DocTimeout and
+// Logger take effect without touching the pipeline's configuration.
+func TestRunOptionsOverrides(t *testing.T) {
+	p, err := New(fig1Table(), fig1Space(), Config{Tau: 0.6, MaxFailureFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	res, err := p.RunContextOpts(context.Background(), fig1Docs(), &RunOptions{
+		DocTimeout: time.Nanosecond,
+		Logger:     logger,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.Quarantined) != 1 {
+		t.Fatalf("override DocTimeout did not quarantine: %+v", res.Stats)
+	}
+	if !strings.Contains(res.Stats.Quarantined[0].Err, "timeout") {
+		t.Fatalf("failure does not name the timeout: %+v", res.Stats.Quarantined[0])
+	}
+	if !strings.Contains(buf.String(), "document quarantined") {
+		t.Fatalf("override logger saw no quarantine log: %q", buf.String())
+	}
+	// The pipeline's own config is untouched: a plain run still succeeds.
+	res, err = p.Run(fig1Docs())
+	if err != nil || len(res.Stats.Quarantined) != 0 {
+		t.Fatalf("plain run after override run failed: err=%v stats=%+v", err, res.Stats)
 	}
 }

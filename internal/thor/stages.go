@@ -122,14 +122,6 @@ type instruments struct {
 	quarantined *obs.Counter
 	skipped     *obs.Counter
 	retried     *obs.Counter
-	// quantFiltered/quantPassed expose the int8 propose tier's screening
-	// effect (rows skipped before any float64 work vs rows passed through to
-	// exact verification); quantPassRate is the pass fraction of the most
-	// recent delta. The underlying counters are process-wide (they live in
-	// the embed package), published as deltas after each run.
-	quantFiltered *obs.Counter
-	quantPassed   *obs.Counter
-	quantPassRate *obs.FloatGauge
 }
 
 func newInstruments(reg *obs.Registry) instruments {
@@ -153,9 +145,5 @@ func newInstruments(reg *obs.Registry) instruments {
 	ins.quarantined = reg.Counter("thor.quarantined")
 	ins.skipped = reg.Counter("thor.skipped")
 	ins.retried = reg.Counter("thor.retries")
-	// Quantized-propose-tier telemetry; see Pipeline.publishQuantStats.
-	ins.quantFiltered = reg.Counter("thor.match.quant_filtered")
-	ins.quantPassed = reg.Counter("thor.match.quant_passed")
-	ins.quantPassRate = reg.FloatGauge("thor.match.quant_pass_rate")
 	return ins
 }

@@ -452,11 +452,6 @@ type Pipeline struct {
 	parse   *ParseCache
 	parseFP uint64
 	docFP   uint64
-	// lastQuantFiltered/lastQuantPassed are this pipeline's cursors into the
-	// process-wide int8 propose-tier counters, advanced by publishQuantStats
-	// after every run.
-	lastQuantFiltered atomic.Uint64
-	lastQuantPassed   atomic.Uint64
 }
 
 // New prepares a pipeline for the given integrated table: it fine-tunes the
@@ -516,11 +511,6 @@ func New(table *schema.Table, space *embed.Space, cfg Config) (*Pipeline, error)
 		p.parseFP = parseFingerprint(cfg.Lexicon, cfg.NaiveChunking)
 		p.docFP = docFingerprint(p.parseFP, table.Subjects())
 	}
-	// Seed the quant cursors so the first run publishes only its own delta,
-	// not the process history.
-	qf, qp := embed.QuantCounters()
-	p.lastQuantFiltered.Store(qf)
-	p.lastQuantPassed.Store(qp)
 	// The fine-tune histogram observes once per pipeline; Run seeds its
 	// Stats.Stages row from tuneDur instead of re-observing.
 	p.ins.stageHist[idxFineTune].Observe(tuneDur)
@@ -786,7 +776,6 @@ func (p *Pipeline) RunContextOpts(ctx context.Context, docs []segment.Document, 
 	// and filled only exist after the merge and fill phases.
 	p.ins.entities.Add(int64(res.Stats.Entities))
 	p.ins.filled.Add(int64(res.Stats.Filled))
-	p.publishQuantStats()
 
 	switch {
 	case cancelled:
@@ -1030,26 +1019,6 @@ func (p *Pipeline) refineScores(phrase, matched string) (s, w, c float64) {
 func (p *Pipeline) observe(acc *stageAcc, i int, d time.Duration) {
 	acc.observe(i, d)
 	p.ins.stageHist[i].Observe(d)
-}
-
-// publishQuantStats forwards the int8 propose tier's screening counters to
-// the registry as deltas since this pipeline's previous publish. The source
-// counters are process-wide (all matrices share them), so with several
-// concurrently running pipelines the attribution is process-level rather
-// than exact per-pipeline; totals remain correct. The pass-rate gauge
-// reflects the latest delta: filtered/(filtered+passed) screened away.
-func (p *Pipeline) publishQuantStats() {
-	if p.ins.quantFiltered == nil {
-		return
-	}
-	f, q := embed.QuantCounters()
-	df := f - p.lastQuantFiltered.Swap(f)
-	dp := q - p.lastQuantPassed.Swap(q)
-	p.ins.quantFiltered.Add(int64(df))
-	p.ins.quantPassed.Add(int64(dp))
-	if df+dp > 0 {
-		p.ins.quantPassRate.Set(float64(dp) / float64(df+dp))
-	}
 }
 
 // phrases produces the candidate noun phrases of a sentence, consulting the
