@@ -14,8 +14,8 @@ import (
 // crasher.
 func FuzzAutomaton(f *testing.F) {
 	f.Add("acoustic neuroma\ntumor\ntuberculosis", "An Acoustic Neuroma is a non-cancerous TUMOR.")
-	f.Add("kk", "KK")          // Kelvin sign 'K': ToLower changed byte length
-	f.Add("i̇", "İstanbul")    // dotted capital I: same class of bug
+	f.Add("kk", "KK")                    // Kelvin sign 'K': ToLower changed byte length
+	f.Add("i̇", "İstanbul")              // dotted capital I: same class of bug
 	f.Add("a\nab\nabc\nbc", "abcabcabc") // overlapping matches through failure links
 	f.Add("", "anything")
 	f.Add("\xff\n\xff\xfe", "\xff\xfe\xff")

@@ -34,8 +34,9 @@ var sketchFiltered, sketchPassed atomic.Uint64
 // QuantCounters returns the cumulative number of rows the sketch bound
 // rejected (filtered) and the rows that reached the exact cosine (passed)
 // since process start. Intended for telemetry deltas; both counters are
-// monotonic. The name predates the removal of the int8 screen that used to
-// sit in front of the sketch bound.
+// monotonic. Every row a sweep reaches meets the bound first, so passed
+// counts only rows the bound could not reject. The name predates the
+// removal of the int8 screen that used to sit in front of the sketch bound.
 func QuantCounters() (filtered, passed uint64) {
 	return sketchFiltered.Load(), sketchPassed.Load()
 }

@@ -4,8 +4,55 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// clusteredSpace builds a vocabulary of tight clusters plus background
+// noise, the geometry the matcher queries. The centroid labels seed every
+// vector, so the recorded BenchmarkNeighbors* numbers hold only while they
+// stay as they are.
+func clusteredSpace(clusters, perCluster, noise int) *Space {
+	s := NewSpace()
+	for c := 0; c < clusters; c++ {
+		centroid := HashVector(fmt.Sprintf("lsh-test-centroid-%d", c))
+		for i := 0; i < perCluster; i++ {
+			w := fmt.Sprintf("c%dw%d", c, i)
+			s.Add(w, Blend(centroid, HashVector("n:"+w), 0.8))
+		}
+	}
+	for i := 0; i < noise; i++ {
+		w := fmt.Sprintf("noise%d", i)
+		s.Add(w, HashVector(w))
+	}
+	return s
+}
+
+// generatedSpace builds a seeded random vocabulary: up to six clusters of
+// varying size and tightness, background noise, and three distinct words
+// that share the vector of an existing word, so every query sees a four-way
+// similarity tie that must come back in alphabetical order.
+func generatedSpace(seed int64) *Space {
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSpace()
+	for c, clusters := 0, 1+rng.Intn(6); c < clusters; c++ {
+		centroid := HashVector(fmt.Sprintf("gen%d-centroid-%d", seed, c))
+		alpha := 0.5 + 0.45*rng.Float64()
+		for i, n := 0, 1+rng.Intn(25); i < n; i++ {
+			w := fmt.Sprintf("g%dc%dw%d", seed, c, i)
+			s.Add(w, Blend(centroid, HashVector("n:"+w), alpha))
+		}
+	}
+	for i, n := 0, rng.Intn(30); i < n; i++ {
+		w := fmt.Sprintf("g%dnoise%d", seed, i)
+		s.Add(w, HashVector(w))
+	}
+	shared := s.Lookup(s.Words()[rng.Intn(s.Len())])
+	for _, w := range []string{"tie-c", "tie-a", "tie-b"} {
+		s.Add(w, shared)
+	}
+	return s
+}
 
 // TestMatrixCosineBitIdentical pins the SoA contract: Matrix.Cosine must
 // reproduce CosineAt bit for bit, including zero-vector conventions.
@@ -171,32 +218,55 @@ func TestQuantCountersAdvance(t *testing.T) {
 }
 
 // TestThresholdIndexMatchesSpaceNeighbors is the embed-level equivalence
-// property: the LSH-plus-bound index must return exactly Space.Neighbors —
+// property: the sketch-bound index must return exactly Space.Neighbors —
 // same words, same (bitwise) similarities, same order — across thresholds,
-// for in-vocabulary, out-of-vocabulary, and zero queries.
+// for in-vocabulary, out-of-vocabulary, and zero queries, over generated
+// spaces of several sizes plus the empty and one-word spaces. Equal
+// similarities must come back in alphabetical order.
 func TestThresholdIndexMatchesSpaceNeighbors(t *testing.T) {
-	s := clusteredSpace(6, 20, 15)
-	idx := s.Index()
-	queries := []Vector{{}}
-	for _, w := range s.Words() {
-		queries = append(queries, s.Lookup(w))
+	one := NewSpace()
+	one.Add("solo", HashVector("solo"))
+	type namedSpace struct {
+		name string
+		s    *Space
 	}
-	for i := 0; i < 10; i++ {
-		queries = append(queries, HashVector(fmt.Sprintf("oov-query-%d", i)))
+	spaces := []namedSpace{{"empty", NewSpace()}, {"one-word", one}, {"clustered", clusteredSpace(6, 20, 15)}}
+	for seed := int64(1); seed <= 5; seed++ {
+		spaces = append(spaces, namedSpace{fmt.Sprintf("seed%d", seed), generatedSpace(seed)})
 	}
-	for _, tau := range []float64{-1, 0, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0} {
-		for qi, qv := range queries {
-			want := s.Neighbors(qv, tau)
-			got := idx.Neighbors(qv, tau)
-			if len(got) != len(want) {
-				t.Fatalf("tau=%v query=%d: index returned %d neighbors, brute %d", tau, qi, len(got), len(want))
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("tau=%v query=%d pos=%d: index %+v, brute %+v", tau, qi, k, got[k], want[k])
+	ties := 0
+	for _, sp := range spaces {
+		s, idx := sp.s, sp.s.Index()
+		queries := []Vector{{}}
+		for _, w := range s.Words() {
+			queries = append(queries, s.Lookup(w))
+		}
+		for i := 0; i < 10; i++ {
+			queries = append(queries, HashVector(fmt.Sprintf("oov-query-%d", i)))
+		}
+		for _, tau := range []float64{-1, 0, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0} {
+			for qi, qv := range queries {
+				want := s.Neighbors(qv, tau)
+				got := idx.Neighbors(qv, tau)
+				if len(got) != len(want) {
+					t.Fatalf("%s tau=%v query=%d: index returned %d neighbors, brute %d", sp.name, tau, qi, len(got), len(want))
+				}
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("%s tau=%v query=%d pos=%d: index %+v, brute %+v", sp.name, tau, qi, k, got[k], want[k])
+					}
+					if k > 0 && got[k].Sim == got[k-1].Sim && got[k].Sim > 0 {
+						ties++
+						if got[k-1].Word >= got[k].Word {
+							t.Fatalf("%s tau=%v query=%d: tie %q before %q", sp.name, tau, qi, got[k-1].Word, got[k].Word)
+						}
+					}
 				}
 			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("no query returned tied positive similarities; the tie-break is untested")
 	}
 }
 

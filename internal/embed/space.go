@@ -182,7 +182,7 @@ func (s *Space) Neighbors(query Vector, tau float64) []Neighbor {
 // Index returns the exact threshold index over the current vocabulary,
 // building it on first use and rebuilding after any Add. All callers share
 // one instance, so the (one-time) construction cost is amortized across the
-// matcher, the models, and τ-sweep experiments.
+// matcher's fine-tunes and τ-sweep experiments.
 func (s *Space) Index() *ThresholdIndex {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()

@@ -23,11 +23,11 @@
 // brute-force definitions above. Each cluster's seed and word vectors are
 // flattened into contiguous embed.Matrix slabs at FineTune time, so head-fit
 // and best-seed sweeps are cache-friendly dot products with precomputed
-// norms and conservative-bound pruning. τ-expansion runs through the space's
-// shared ThresholdIndex (LSH propose, exact verify) instead of brute
-// vocabulary scans, and the index's LSH buckets also prime head-fit sweeps
-// with a strong initial best so the bound prunes harder. Head fits, subphrase
-// queries, and best seeds are memoized in read-mostly copy-on-write maps
-// (package cow) that cost one atomic load per hit under the pipeline's
-// parallel document workers.
+// norms and conservative-bound pruning. Head-fit sweeps start just below the
+// acceptance floor, so the bound skips nearly every row of a head that
+// cannot be accepted. τ-expansion runs through the space's shared
+// ThresholdIndex, one bound-screened sweep of the vocabulary whose results
+// equal a brute scan. Head fits, subphrase queries, and best seeds are
+// memoized in read-mostly copy-on-write maps (package cow) that cost one
+// atomic load per hit under the pipeline's parallel document workers.
 package matcher

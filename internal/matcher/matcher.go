@@ -36,13 +36,10 @@ type conceptCluster struct {
 	// plus τ-expansion neighbors.
 	words []Representative
 	// seedMat and wordMat are the SoA forms of seeds and words (rows
-	// aligned), built once at FineTune time.
+	// aligned), built once at FineTune time; wordMat stays nil when share
+	// resolves the fits.
 	seedMat *embed.Matrix
 	wordMat *embed.Matrix
-	// byRow maps a ThresholdIndex row to the wordMat row holding the same
-	// vocabulary word, for LSH-primed head-fit sweeps. Out-of-vocabulary
-	// representative words are simply absent.
-	byRow map[int]int
 	// seedMemo caches bestSeed per subphrase text.
 	seedMemo *cow.Map[string, string]
 	// share, when non-nil (cache-backed fine-tune with expansion), resolves
@@ -114,7 +111,6 @@ type Matcher struct {
 	cfg       Config
 	clusters  []*conceptCluster
 	byConcept map[schema.Concept]*conceptCluster
-	index     *embed.ThresholdIndex
 	basis     *embed.Basis
 	// fitMemo caches, per head word, the fit against every cluster (Match
 	// scores each head against all clusters anyway, so one miss fills the
@@ -192,7 +188,6 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 		space:      space,
 		cfg:        cfg,
 		byConcept:  make(map[schema.Concept]*conceptCluster),
-		index:      idx,
 		basis:      idx.Basis(),
 		fitMemo:    cow.New[string, []float64](),
 		subQueries: cow.New[string, *embed.Query](),
@@ -255,8 +250,8 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 // tau) as non-seed representatives — the weak-supervision "fine-tuning"
 // step. Lower τ expands further into the embedding neighborhood. Retrieval
 // goes through the space's threshold index, whose results are identical to
-// brute-force Space.Neighbors scans (LSH and the sketch bound screen, exact
-// cosine verifies). With a cache, the per-source neighbor lists are shared
+// brute-force Space.Neighbors scans (the sketch bound screens, exact cosine
+// verifies). With a cache, the per-source neighbor lists are shared
 // across the whole τ sweep (see Cache.expansionFor): the sources — the seed
 // head words — are τ-independent, and a higher-τ list is an exact prefix of
 // a lower-τ list, so one retrieval pass serves every threshold bit-identically.
@@ -302,23 +297,18 @@ func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau flo
 }
 
 // vectorize flattens every cluster's word vectors into SoA matrices sharing
-// the index's pruning basis, and builds the index-row → cluster-row maps used
-// for LSH priming. Seed matrices arrive prebuilt with the shared seed
-// cluster.
+// the index's pruning basis. Seed matrices arrive prebuilt with the shared
+// seed cluster.
 func (m *Matcher) vectorize() {
 	for _, cl := range m.clusters {
 		if cl.share != nil {
 			// Fits resolve through the shared cross-τ profile: no per-τ word
-			// matrix (or LSH row map) to build at all.
+			// matrix to build at all.
 			continue
 		}
 		wordVecs := make([]embed.Vector, len(cl.words))
-		cl.byRow = make(map[int]int, len(cl.words))
 		for i := range cl.words {
 			wordVecs[i] = cl.words[i].Vector
-			if r := m.index.RowOf(cl.words[i].Phrase); r >= 0 {
-				cl.byRow[r] = i
-			}
 		}
 		cl.wordMat = embed.NewMatrix(m.basis, wordVecs)
 	}
@@ -350,11 +340,7 @@ func (m *Matcher) warmFits() {
 // the exact Sim of accepted candidates, so the sweep starts at the largest
 // float64 below the floor and stores sub-floor maxima as 0: accepted fits
 // are bit-identical to the brute-force sweep while rejected heads skip
-// nearly every dot product. The sweep is primed with true cosines of the
-// head's LSH bucket candidates — in-vocabulary heads reach their buckets
-// through signatures stored at index build time, with no dot products — so
-// a head that *is* a representative (cosine 1) prunes the entire sweep.
-// Priming never changes the maximum.
+// nearly every dot product.
 func (m *Matcher) computeFits(head string) []float64 {
 	fits := make([]float64, len(m.clusters))
 	v := m.space.Lookup(head)
@@ -363,36 +349,18 @@ func (m *Matcher) computeFits(head string) []float64 {
 	}
 	q := m.basis.Query(v)
 	floor := math.Nextafter(m.cfg.acceptFloor(), 0)
-	var rows []int
-	rowsReady := false
 	for ci, cl := range m.clusters {
+		var best float64
 		if cl.share != nil {
 			// Cross-τ path: the shared profile's exact maxima reduce this
 			// matcher's fit to max(seed-head max, prefix max at its τ cut) —
 			// the same floored value the per-τ wordMat sweep produces.
-			if best := cl.share.fit(head, &q, cl.cut); best > floor {
-				fits[ci] = best
-			}
-			continue
+			best = cl.share.fit(head, &q, cl.cut)
+		} else {
+			best = cl.wordMat.Max(&q, floor)
 		}
-		if !rowsReady {
-			rowsReady = true
-			if r := m.index.RowOf(head); r >= 0 {
-				rows = m.index.CandidateRowsOfRow(r, nil)
-			} else {
-				rows = m.index.CandidateRows(&q, nil)
-			}
-		}
-		init := floor
-		for _, r := range rows {
-			if li, ok := cl.byRow[r]; ok {
-				if c := cl.wordMat.Cosine(&q, li); c > init {
-					init = c
-				}
-			}
-		}
-		if f := cl.wordMat.Max(&q, init); f > floor {
-			fits[ci] = f
+		if best > floor {
+			fits[ci] = best
 		}
 	}
 	return fits
@@ -665,21 +633,24 @@ type Explanation struct {
 }
 
 // Explain scores the phrase's head against every cluster and reports the
-// per-concept evidence, strongest first.
+// per-concept evidence, strongest first. It scans the representative words
+// directly (earliest wins ties), so it works the same whether the cluster's
+// fits come from a per-τ word matrix or a shared cross-τ profile.
 func (m *Matcher) Explain(p phrase.Phrase) []Explanation {
 	head := headWord(p.Words)
 	if head == "" {
 		return nil
 	}
 	v := m.space.Lookup(head)
-	q := m.basis.Query(v)
 	floor := m.cfg.acceptFloor()
 	var out []Explanation
 	for _, cl := range m.clusters {
 		best, bestSim := Representative{}, -2.0
 		if !v.Zero() {
-			if i, sim := cl.wordMat.ArgMax(&q, -2.0); i >= 0 {
-				bestSim, best = sim, cl.words[i]
+			for i := range cl.words {
+				if sim := embed.CosineAt(&v, &cl.words[i].Vector); sim > bestSim {
+					bestSim, best = sim, cl.words[i]
+				}
 			}
 		}
 		if bestSim < 0 {

@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,6 +222,27 @@ func TestExplain(t *testing.T) {
 	}
 	if got := m.Explain(phrase.Phrase{}); got != nil {
 		t.Errorf("empty phrase explained: %v", got)
+	}
+
+	// A cache-built matcher resolves fits through the shared cross-τ profile
+	// and builds no per-τ word matrix; it must explain exactly like the
+	// direct fine-tune at the same τ.
+	cached, err := NewCache().FineTune(testSpace(), testTable(), Config{Tau: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := false
+	for _, cl := range cached.clusters {
+		shared = shared || cl.share != nil
+	}
+	if !shared {
+		t.Fatal("cache-built matcher has no fit-share cluster; the test no longer covers that path")
+	}
+	for _, words := range [][]string{{"brain"}, {"skin", "cancer"}, {"nervous", "system"}, {"zzzzqqq"}, {"the"}} {
+		p := phrase.Phrase{Words: words}
+		if got, want := cached.Explain(p), m.Explain(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("Explain(%v): cache-built %+v, FineTune-built %+v", words, got, want)
+		}
 	}
 }
 

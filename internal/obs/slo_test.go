@@ -8,9 +8,9 @@ import (
 // testClock is the deterministic SLOConfig.Now seam.
 type testClock struct{ now time.Time }
 
-func (c *testClock) Now() time.Time            { return c.now }
-func (c *testClock) advance(d time.Duration)   { c.now = c.now.Add(d) }
-func newTestClock() *testClock                 { return &testClock{now: time.Unix(1_000_000, 0)} }
+func (c *testClock) Now() time.Time          { return c.now }
+func (c *testClock) advance(d time.Duration) { c.now = c.now.Add(d) }
+func newTestClock() *testClock               { return &testClock{now: time.Unix(1_000_000, 0)} }
 func newTestSLO(c *testClock, cfg SLOConfig) *SLO {
 	cfg.Now = c.Now
 	return NewSLO(cfg)

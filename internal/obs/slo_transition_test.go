@@ -31,8 +31,8 @@ func TestSLOOnTransitionEdges(t *testing.T) {
 	var log transitionLog
 	slo := NewSLO(SLOConfig{
 		Latency: 10 * time.Millisecond, MinSamples: 1,
-		Window: time.Minute,
-		Now:    func() time.Time { return now },
+		Window:       time.Minute,
+		Now:          func() time.Time { return now },
 		OnTransition: func(d bool, v []string) { log.fire(d, v) },
 	})
 

@@ -76,12 +76,12 @@ m 1
 // TestParseExemplarAccept is the accept table for the exemplar clause.
 func TestParseExemplarAccept(t *testing.T) {
 	cases := []struct {
-		name    string
-		line    string
-		labels  map[string]string
-		value   float64
-		ts      float64
-		hasTS   bool
+		name   string
+		line   string
+		labels map[string]string
+		value  float64
+		ts     float64
+		hasTS  bool
 	}{
 		{
 			name:   "bucket with trace and timestamp",

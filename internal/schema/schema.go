@@ -142,6 +142,7 @@ func (t *Table) AddRow(subject string) *Row {
 	t.bySubject[key] = r
 	return r
 }
+
 // Row returns the row whose subject equals s (case-insensitive), or nil.
 func (t *Table) Row(s string) *Row { return t.bySubject[strings.ToLower(s)] }
 

@@ -13,11 +13,11 @@ func sampleEntities() map[string][]Entity {
 	return map[string][]Entity{
 		"Acoustic Neuroma": {
 			{Subject: "Acoustic Neuroma", Concept: "Complication", Phrase: "Tumor", Score: 0.9},
-			{Subject: "Acoustic Neuroma", Concept: "Complication", Phrase: "tumor", Score: 0.8}, // case dup
-			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "tumor", Score: 0.7},      // other concept
+			{Subject: "Acoustic Neuroma", Concept: "Complication", Phrase: "tumor", Score: 0.8},       // case dup
+			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "tumor", Score: 0.7},            // other concept
 			{Subject: "Acoustic Neuroma", Concept: "Disease", Phrase: "acoustic neuroma", Score: 0.9}, // subject concept
-			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "", Score: 0.9},           // empty value
-			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "nervous system", Score: 0.9}, // already present
+			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "", Score: 0.9},                 // empty value
+			{Subject: "Acoustic Neuroma", Concept: "Anatomy", Phrase: "nervous system", Score: 0.9},   // already present
 		},
 		"Tuberculosis": {
 			{Subject: "Tuberculosis", Concept: "Anatomy", Phrase: "lungs", Score: 0.6},
