@@ -3,6 +3,8 @@ package embed
 import (
 	"math"
 	"sync/atomic"
+
+	"thor/internal/par"
 )
 
 // This file implements the vectorized (structure-of-arrays) form of the
@@ -234,8 +236,8 @@ type Matrix struct {
 	resid []float64 // per-row off-span residual norm
 }
 
-// NewMatrix flattens vs under the basis. The rows keep their order, so row
-// indices align with the caller's slice.
+// NewMatrix flattens vs under the basis, spreading the rows over every core.
+// The rows keep their order, so row indices align with the caller's slice.
 func NewMatrix(b *Basis, vs []Vector) *Matrix {
 	m := &Matrix{
 		basis: b,
@@ -245,7 +247,7 @@ func NewMatrix(b *Basis, vs []Vector) *Matrix {
 		sk:    make([]float64, len(vs)*SketchDim),
 		resid: make([]float64, len(vs)),
 	}
-	for i := range vs {
+	row := func(i int) {
 		row := m.comps[i*Dim : (i+1)*Dim]
 		nw := 0.0
 		for j, x := range vs[i] {
@@ -256,6 +258,7 @@ func NewMatrix(b *Basis, vs []Vector) *Matrix {
 		m.norm[i] = nw
 		m.resid[i] = b.sketch(row, nw, m.sk[i*SketchDim:(i+1)*SketchDim])
 	}
+	par.For(len(vs), row)
 	return m
 }
 
@@ -269,21 +272,50 @@ func (m *Matrix) Basis() *Basis { return m.basis }
 // Cosine returns the cosine similarity between the query and row i,
 // bit-identical to CosineAt on the original vectors.
 func (m *Matrix) Cosine(q *Query, i int) float64 {
-	nw := m.norm[i]
-	if q.nv == 0 || nw == 0 {
-		return 0
-	}
 	row := m.comps[i*Dim : (i+1)*Dim]
 	var dot float64
 	for j := 0; j < Dim; j++ {
 		dot += q.comps[j] * row[j]
 	}
-	c := dot / math.Sqrt(q.nv*nw)
+	return cosineOf(dot, q.nv, m.norm[i])
+}
+
+// cosineOf finishes a cosine from its dot product and the two squared norms,
+// exactly as CosineAt does.
+func cosineOf(dot, nv, nw float64) float64 {
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	c := dot / math.Sqrt(nv*nw)
 	if c > 1 {
 		c = 1
 	} else if c < -1 {
 		c = -1
 	}
+	return c
+}
+
+// cosine4 returns Cosine(q, rows[k]) for the four rows, bit for bit. Each
+// row keeps its own accumulator over ascending components, written as in
+// Cosine; interleaving the four independent chains only lets the processor
+// overlap their adds, which a single chain serializes on add latency.
+func (m *Matrix) cosine4(q *Query, rows *[4]int) (c [4]float64) {
+	r0 := m.comps[rows[0]*Dim:][:Dim]
+	r1 := m.comps[rows[1]*Dim:][:Dim]
+	r2 := m.comps[rows[2]*Dim:][:Dim]
+	r3 := m.comps[rows[3]*Dim:][:Dim]
+	var d0, d1, d2, d3 float64
+	for j := 0; j < Dim; j++ {
+		x := q.comps[j]
+		d0 += x * r0[j]
+		d1 += x * r1[j]
+		d2 += x * r2[j]
+		d3 += x * r3[j]
+	}
+	c[0] = cosineOf(d0, q.nv, m.norm[rows[0]])
+	c[1] = cosineOf(d1, q.nv, m.norm[rows[1]])
+	c[2] = cosineOf(d2, q.nv, m.norm[rows[2]])
+	c[3] = cosineOf(d3, q.nv, m.norm[rows[3]])
 	return c
 }
 
@@ -305,6 +337,11 @@ func (m *Matrix) bound(q *Query, i int) float64 {
 // "if sim > best { best = sim }" sweep exactly — including which index wins
 // on ties — while using the sketch bound to skip rows that provably cannot
 // exceed the running best.
+//
+// Rows that pass the bound are buffered and scored four at a time by
+// cosine4, then folded into the running best in row order. A row is tested
+// against the best as of the last fold, which is never above the true
+// running best, so the bound still skips only rows that cannot win.
 func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 	bestI, best := -1, init
 	if q.nv == 0 {
@@ -315,12 +352,26 @@ func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 		return -1, init
 	}
 	var filtered, passed uint64
+	var rows [4]int
+	pending := 0
 	for i := 0; i < m.n; i++ {
 		if m.bound(q, i)+boundMargin < best {
 			filtered++
 			continue
 		}
 		passed++
+		rows[pending] = i
+		if pending++; pending < len(rows) {
+			continue
+		}
+		pending = 0
+		for k, c := range m.cosine4(q, &rows) {
+			if c > best {
+				best, bestI = c, rows[k]
+			}
+		}
+	}
+	for _, i := range rows[:pending] {
 		if c := m.Cosine(q, i); c > best {
 			best, bestI = c, i
 		}
@@ -376,7 +427,9 @@ func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float
 
 // EachAtLeast calls f(i, sim) for every row whose cosine reaches tau, in row
 // order, using the sketch bound to skip rows that provably fall short. The
-// set and similarities reported are exactly those of a full sweep.
+// set and similarities reported are exactly those of a full sweep. Rows that
+// pass the bound are scored four at a time by cosine4; tau is fixed, so the
+// buffering changes neither which rows pass nor the order f sees them in.
 func (m *Matrix) EachAtLeast(q *Query, tau float64, f func(i int, sim float64)) {
 	if q.nv == 0 {
 		if tau > 0 {
@@ -388,12 +441,26 @@ func (m *Matrix) EachAtLeast(q *Query, tau float64, f func(i int, sim float64)) 
 		return
 	}
 	var filtered, passed uint64
+	var rows [4]int
+	pending := 0
 	for i := 0; i < m.n; i++ {
 		if m.bound(q, i)+boundMargin < tau {
 			filtered++
 			continue
 		}
 		passed++
+		rows[pending] = i
+		if pending++; pending < len(rows) {
+			continue
+		}
+		pending = 0
+		for k, c := range m.cosine4(q, &rows) {
+			if c >= tau {
+				f(rows[k], c)
+			}
+		}
+	}
+	for _, i := range rows[:pending] {
 		if c := m.Cosine(q, i); c >= tau {
 			f(i, c)
 		}

@@ -96,23 +96,29 @@ func TestMatrixSweepsMatchBrute(t *testing.T) {
 	checkSweepsMatchBrute(t, "clustered", vecs, vecs)
 }
 
-// TestQuantEdgeCases covers the degenerate shapes the sketch bound must
-// handle: all-zero rows and queries, a single-row matrix, and vectors at the
-// extremes of the float32 magnitude range (the sketch acts on the unit
-// direction, so magnitude must not matter). The bound must stay
-// conservative on every pair, and the pruned sweeps must match brute force.
+// TestQuantEdgeCases covers the degenerate shapes the sketch bound and the
+// four-row cosine kernel must handle: all-zero rows and queries, a
+// single-row matrix, vectors at the extremes of the float32 range (the
+// sketch acts on the unit direction, so magnitude must not matter), row
+// counts that are not a multiple of four, and duplicate rows whose equal
+// cosines sit on both sides of a four-row group boundary, where the earliest
+// index must still win. The bound must stay conservative on every pair, and
+// the pruned sweeps must match brute force.
 func TestQuantEdgeCases(t *testing.T) {
-	var tiny, huge, mixed Vector
+	var tiny, huge, mixed, maxed, denorm Vector
 	for j := 0; j < Dim; j++ {
 		tiny[j] = float32(1e-30 * float64(j%7))
 		huge[j] = float32(1e30 * float64((j%5)-2))
 		if j%2 == 0 {
 			mixed[j] = float32(1e-20)
+			maxed[j] = math.MaxFloat32
 		} else {
 			mixed[j] = float32(-1e20)
+			maxed[j] = -math.MaxFloat32 / 3
 		}
+		denorm[j] = math.SmallestNonzeroFloat32 * float32(j%3)
 	}
-	edge := []Vector{{}, tiny, huge, mixed, HashVector("plain")}
+	edge := []Vector{{}, tiny, huge, mixed, HashVector("plain"), maxed, denorm}
 	queries := append(append([]Vector{}, edge...), HashVector("edge-query"))
 	b := NewBasis(edge)
 	m := NewMatrix(b, edge)
@@ -125,6 +131,44 @@ func TestQuantEdgeCases(t *testing.T) {
 		}
 	}
 	checkSweepsMatchBrute(t, "extremes", edge, queries)
+
+	// Every row count from 1 to 9 (one to two full four-row groups plus a
+	// remainder), and the same rows with a zero row in every slot.
+	for n := 1; n <= 9; n++ {
+		rows := make([]Vector, n)
+		for i := range rows {
+			rows[i] = HashVector(fmt.Sprintf("count-%d", i))
+		}
+		checkSweepsMatchBrute(t, fmt.Sprintf("rows=%d", n), rows, append(rows[:n:n], Vector{}, HashVector("count-query")))
+		for z := range rows {
+			zeroed := append([]Vector(nil), rows...)
+			zeroed[z] = Vector{}
+			checkSweepsMatchBrute(t, fmt.Sprintf("rows=%d zero=%d", n, z), zeroed, zeroed)
+		}
+	}
+
+	// Equal rows at 3 and 4 (the last row of the first four-row group and
+	// the first of the second), at 6–8 (across the second boundary) and at
+	// 0–2 (inside one group): every ArgMax must return the earliest row.
+	target := HashVector("dup-target")
+	dups := make([]Vector, 10)
+	for i := range dups {
+		dups[i] = Blend(target, HashVector(fmt.Sprintf("dup-noise-%d", i)), 0.3)
+	}
+	dups[3], dups[4] = target, target
+	dups[7], dups[8] = dups[6], dups[6]
+	dups[1], dups[2] = dups[0], dups[0]
+	checkSweepsMatchBrute(t, "duplicates", dups, append(append([]Vector{target}, dups...), Vector{}))
+	db := NewBasis(dups)
+	dm := NewMatrix(db, dups)
+	dq := db.Query(target)
+	if i, _ := dm.ArgMax(&dq, -2); i != 3 {
+		t.Fatalf("duplicate rows 3 and 4 tie for the maximum; ArgMax returned %d, want 3", i)
+	}
+	dq = db.Query(dups[6])
+	if i, _ := dm.ArgMax(&dq, 0.5); i != 6 {
+		t.Fatalf("rows 6, 7 and 8 tie for the maximum; ArgMax returned %d, want 6", i)
+	}
 
 	// Single-element cluster: a 1-row matrix must behave like the 1-element
 	// sequential sweep for hits, misses and the zero query.
@@ -146,7 +190,9 @@ func TestQuantEdgeCases(t *testing.T) {
 }
 
 // checkSweepsMatchBrute compares the pruned sweeps of a matrix over vecs
-// against brute-force CosineAt loops for every query.
+// against brute-force CosineAt loops for every query, and checks that the
+// four-row kernel returns Cosine and CosineAt bit for bit on every window of
+// four consecutive rows (wrapping around, so short matrices repeat rows).
 func checkSweepsMatchBrute(t *testing.T, name string, vecs, queries []Vector) {
 	t.Helper()
 	b := NewBasis(vecs)
@@ -155,6 +201,17 @@ func checkSweepsMatchBrute(t *testing.T, name string, vecs, queries []Vector) {
 	taus := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	for qi, qv := range queries {
 		q := b.Query(qv)
+		for i := range vecs {
+			rows := [4]int{i, (i + 1) % len(vecs), (i + 2) % len(vecs), (i + 3) % len(vecs)}
+			for k, c := range m.cosine4(&q, &rows) {
+				r := rows[k]
+				if math.Float64bits(c) != math.Float64bits(m.Cosine(&q, r)) ||
+					math.Float64bits(c) != math.Float64bits(CosineAt(&qv, &vecs[r])) {
+					t.Fatalf("%s query %d: cosine4 row %d = %v, Cosine %v, CosineAt %v",
+						name, qi, r, c, m.Cosine(&q, r), CosineAt(&qv, &vecs[r]))
+				}
+			}
+		}
 		for _, init := range inits {
 			wantI, want := -1, init
 			for i := range vecs {

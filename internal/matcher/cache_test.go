@@ -1,9 +1,14 @@
 package matcher
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
+	"thor/internal/datagen"
+	"thor/internal/embed"
 	"thor/internal/phrase"
 )
 
@@ -83,5 +88,86 @@ func TestCacheReverseSweepFitEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFineTuneFanOutDeterministic checks that spreading fine-tune over every
+// core changes nothing: the Disease matcher built at GOMAXPROCS 1 and 4,
+// directly and through a fresh Cache, each over a freshly decoded space (so
+// the threshold index is rebuilt too), has identical representatives (order
+// and Via included), identical seeds, and bit-identical fit rows for every
+// seed head. Run it under -race to check the fan-out itself.
+func TestFineTuneFanOutDeterministic(t *testing.T) {
+	ds := datagen.Disease(datagen.DiseaseSeed)
+	var raw bytes.Buffer
+	if _, err := ds.Space.WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{Tau: 0.5, IncludeSubject: true}
+	var ref *Matcher
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, cached := range []bool{false, true} {
+			space, err := embed.ReadSpace(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m *Matcher
+			if cached {
+				m, err = NewCache().FineTune(space, ds.Table, cfg)
+			} else {
+				m, err = FineTune(space, ds.Table, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = m
+				continue
+			}
+			where := fmt.Sprintf("GOMAXPROCS=%d cached=%v", procs, cached)
+			checkSameFineTune(t, where, m, ref)
+		}
+	}
+}
+
+// checkSameFineTune asserts that got and want were fine-tuned identically:
+// same concepts, seeds and representatives in the same order, and the same
+// fit row, bit for bit, for every seed head word.
+func checkSameFineTune(t *testing.T, where string, got, want *Matcher) {
+	t.Helper()
+	concepts := want.Concepts()
+	if fmt.Sprint(got.Concepts()) != fmt.Sprint(concepts) {
+		t.Fatalf("%s: concepts %v, want %v", where, got.Concepts(), concepts)
+	}
+	heads := 0
+	for _, c := range concepts {
+		for _, pair := range [][2][]Representative{{got.Seeds(c), want.Seeds(c)}, {got.Representatives(c), want.Representatives(c)}} {
+			g, w := pair[0], pair[1]
+			if len(g) != len(w) {
+				t.Fatalf("%s %s: %d representatives, want %d", where, c, len(g), len(w))
+			}
+			for i := range g {
+				if !sameRep(g[i], w[i]) {
+					t.Fatalf("%s %s: representative %d = %q via %q, want %q via %q", where, c, i, g[i].Phrase, g[i].Via, w[i].Phrase, w[i].Via)
+				}
+			}
+		}
+		for _, r := range want.Representatives(c) {
+			if !r.Seed {
+				break // seed head words precede expansion words
+			}
+			heads++
+			g, w := got.headFits(r.Phrase), want.headFits(r.Phrase)
+			for ci := range w {
+				if math.Float64bits(g[ci]) != math.Float64bits(w[ci]) {
+					t.Fatalf("%s: fit of head %q against %s = %v, want %v", where, r.Phrase, concepts[ci], g[ci], w[ci])
+				}
+			}
+		}
+	}
+	if heads == 0 {
+		t.Fatalf("%s: no seed heads compared", where)
 	}
 }

@@ -90,30 +90,27 @@ func (s *fitShare) cutAt(tau float64) int {
 	return sort.Search(len(s.bestSim), func(k int) bool { return s.bestSim[k] < tau })
 }
 
-// profile returns the head's fit profile, computing and memoizing it on
-// first use. q must be the head's sweep query (non-zero). The sweep starts at
-// the largest float64 below the acceptance floor — the same starting point
-// the per-τ sweeps use — so sub-floor maxima come back clamped (they are
-// consumed only through the `fit < floor` rejection test) while above-floor
-// maxima are exact, and the sketch bound skips nearly every sub-floor row.
-func (s *fitShare) profile(head string, q *embed.Query) []float64 {
-	floor := math.Nextafter(acceptFloorBar, 0)
-	if p, ok := s.prof.Get(head); ok {
-		return p
+// fit returns the exact fit for a head under a τ-prefix of cut rows:
+// max(seed-head maximum, prefix maximum at cut). The head's fit profile is
+// memoized per head across the whole sweep; hq must hold the head's
+// (non-zero) vector, and its query is built only when the profile is missing.
+// The profile sweep starts at the largest float64 below the acceptance floor
+// — the same starting point the per-τ sweeps use — so sub-floor maxima come
+// back clamped (they are consumed only through the `fit < floor` rejection
+// test) while above-floor maxima are exact, and the sketch bound skips
+// nearly every sub-floor row.
+func (s *fitShare) fit(head string, hq *headQuery, cut int) float64 {
+	p, ok := s.prof.Get(head)
+	if !ok {
+		q := hq.query()
+		floor := math.Nextafter(acceptFloorBar, 0)
+		p = make([]float64, 1+s.expMat.Len())
+		p[0] = s.headMat.Max(q, floor)
+		if n := s.expMat.Len(); n > 0 {
+			s.expMat.PrefixMaxFloor(q, 0, n, floor, p[1:])
+		}
+		s.prof.Put(head, p)
 	}
-	p := make([]float64, 1+s.expMat.Len())
-	p[0] = s.headMat.Max(q, floor)
-	if n := s.expMat.Len(); n > 0 {
-		s.expMat.PrefixMaxFloor(q, 0, n, floor, p[1:])
-	}
-	s.prof.Put(head, p)
-	return p
-}
-
-// fit returns the exact floored-at-nothing fit for a head under a τ-prefix of
-// cut rows: max(seed-head maximum, prefix maximum at cut).
-func (s *fitShare) fit(head string, q *embed.Query, cut int) float64 {
-	p := s.profile(head, q)
 	best := p[0]
 	if cut > 0 && p[cut] > best {
 		best = p[cut]

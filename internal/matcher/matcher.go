@@ -8,6 +8,7 @@ import (
 
 	"thor/internal/cow"
 	"thor/internal/embed"
+	"thor/internal/par"
 	"thor/internal/phrase"
 	"thor/internal/schema"
 	"thor/internal/text"
@@ -284,15 +285,15 @@ func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conce
 }
 
 // expansionLists retrieves the τ-neighborhood of every source word, in
-// source order. Lists are sorted by decreasing similarity with alphabetical
-// tie-breaks (the index contract), which is what makes cross-τ prefix
-// sharing exact.
+// source order, spreading the retrievals over every core. Lists are sorted
+// by decreasing similarity with alphabetical tie-breaks (the index
+// contract), which is what makes cross-τ prefix sharing exact.
 func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau float64) [][]embed.Neighbor {
 	lists := make([][]embed.Neighbor, len(sources))
-	for i := range sources {
+	par.For(len(sources), func(i int) {
 		q := idx.Query(sources[i].Vector)
 		lists[i] = idx.NeighborsQuery(&q, tau)
-	}
+	})
 	return lists
 }
 
@@ -317,19 +318,27 @@ func (m *Matcher) vectorize() {
 // warmFits sizes the fit memo with a warmup pass over the seed head words —
 // the heads every accepting document mention must resemble, and by far the
 // most frequently queried keys — so the copy-on-write map starts with a
-// right-sized read snapshot instead of merging its way up under load.
+// right-sized read snapshot instead of merging its way up under load. The
+// rows are computed on every core; each is a pure function of its head.
 func (m *Matcher) warmFits() {
-	init := make(map[string][]float64)
+	seen := make(map[string]bool)
+	var heads []string
 	for _, cl := range m.clusters {
 		for i := range cl.words {
 			if !cl.words[i].Seed {
 				break // seed head words precede expansion words
 			}
-			w := cl.words[i].Phrase
-			if _, ok := init[w]; !ok {
-				init[w] = m.computeFits(w)
+			if w := cl.words[i].Phrase; !seen[w] {
+				seen[w] = true
+				heads = append(heads, w)
 			}
 		}
+	}
+	rows := make([][]float64, len(heads))
+	par.For(len(heads), func(i int) { rows[i] = m.computeFits(heads[i]) })
+	init := make(map[string][]float64, len(heads))
+	for i, w := range heads {
+		init[w] = rows[i]
 	}
 	m.fitMemo.Seed(init)
 }
@@ -347,7 +356,7 @@ func (m *Matcher) computeFits(head string) []float64 {
 	if v.Zero() {
 		return fits
 	}
-	q := m.basis.Query(v)
+	hq := headQuery{basis: m.basis, v: &v}
 	floor := math.Nextafter(m.cfg.acceptFloor(), 0)
 	for ci, cl := range m.clusters {
 		var best float64
@@ -355,15 +364,31 @@ func (m *Matcher) computeFits(head string) []float64 {
 			// Cross-τ path: the shared profile's exact maxima reduce this
 			// matcher's fit to max(seed-head max, prefix max at its τ cut) —
 			// the same floored value the per-τ wordMat sweep produces.
-			best = cl.share.fit(head, &q, cl.cut)
+			best = cl.share.fit(head, &hq, cl.cut)
 		} else {
-			best = cl.wordMat.Max(&q, floor)
+			best = cl.wordMat.Max(hq.query(), floor)
 		}
 		if best > floor {
 			fits[ci] = best
 		}
 	}
 	return fits
+}
+
+// headQuery builds a head word's sweep query on first use, so a head whose
+// every cluster answers from a cached fit profile builds none.
+type headQuery struct {
+	basis *embed.Basis
+	v     *embed.Vector
+	q     embed.Query
+	built bool
+}
+
+func (h *headQuery) query() *embed.Query {
+	if !h.built {
+		h.q, h.built = h.basis.Query(*h.v), true
+	}
+	return &h.q
 }
 
 // headFits returns the per-cluster fit row for a head word, memoized.
@@ -539,7 +564,6 @@ func (c *MatchContext) MatchBuf(p phrase.Phrase) []Candidate {
 			c.cands = append(c.cands, Candidate{
 				Phrase:  subText,
 				Concept: cl.concept,
-				Matched: m.bestSeed(cl, subText),
 				Sim:     fit,
 			})
 		}
@@ -549,7 +573,8 @@ func (c *MatchContext) MatchBuf(p phrase.Phrase) []Candidate {
 	}
 	stableSortBySim(c.cands)
 	// Dedupe (phrase, concept) pairs, keeping the strongest, and cap the
-	// candidates kept per concept — all on reused scratch tables.
+	// candidates kept per concept — all on reused scratch tables. None of
+	// this reads Matched, so c_m is looked up for kept candidates only.
 	clear(c.dedup)
 	for i := range c.perConcept {
 		c.perConcept[i] = 0
@@ -567,6 +592,7 @@ func (c *MatchContext) MatchBuf(p phrase.Phrase) []Candidate {
 			continue
 		}
 		c.perConcept[ci]++
+		cand.Matched = m.bestSeed(m.clusters[ci], cand.Phrase)
 		kept = append(kept, cand)
 	}
 	c.cands = kept

@@ -7,8 +7,11 @@
 // the online, per-query problem of the localized-imputation literature:
 // each request carries a handful of documents and expects its own isolated
 // answer, while the expensive shared state — matcher fine-tuning
-// (matcher.Cache), sentence analysis (thor.ParseCache), refinement memos —
-// amortizes across every request the process ever serves.
+// (matcher.Cache), sentence analysis and refinement scores (both in
+// thor.ParseCache) — amortizes across every request the process ever
+// serves. Refinement scores are keyed by the embedding space, not the table,
+// so they survive live-table swaps: a new version re-scores only the
+// (phrase, matched seed) pairs it has not seen.
 //
 // # Request flow
 //

@@ -2,8 +2,10 @@ package thor
 
 import (
 	"strings"
+	"sync"
 
 	"thor/internal/cow"
+	"thor/internal/embed"
 	"thor/internal/phrase"
 	"thor/internal/pos"
 	"thor/internal/segment"
@@ -53,17 +55,41 @@ type docEntry struct {
 // text — so a warm document skips straight from body to phrase lists with a
 // single lookup and no per-sentence key building; the serving layer's warm
 // fill path leans on this for its allocation budget.
+//
+// The cache also holds the refinement scores of every (phrase, matched
+// seed) pair, which depend on neither τ nor the table: Jaccard and Gestalt
+// read only the two strings, and the semantic score reads the embedding
+// space. They are keyed by the space's threshold index, the identity
+// matcher.Cache keys on, so a Space.Add — which replaces the index — starts
+// a fresh memo instead of serving stale scores.
 type ParseCache struct {
 	m    *cow.Map[parseKey, []phrase.Phrase]
 	docs *cow.Map[docKey, *docEntry]
+
+	refineMu sync.Mutex
+	refine   map[*embed.ThresholdIndex]*cow.Map[[2]string, [3]float64]
 }
 
 // NewParseCache returns an empty parse cache.
 func NewParseCache() *ParseCache {
 	return &ParseCache{
-		m:    cow.New[parseKey, []phrase.Phrase](),
-		docs: cow.New[docKey, *docEntry](),
+		m:      cow.New[parseKey, []phrase.Phrase](),
+		docs:   cow.New[docKey, *docEntry](),
+		refine: make(map[*embed.ThresholdIndex]*cow.Map[[2]string, [3]float64]),
 	}
+}
+
+// refineFor returns the refinement-score memo for one vocabulary snapshot,
+// creating it on first request.
+func (c *ParseCache) refineFor(index *embed.ThresholdIndex) *cow.Map[[2]string, [3]float64] {
+	c.refineMu.Lock()
+	defer c.refineMu.Unlock()
+	r, ok := c.refine[index]
+	if !ok {
+		r = cow.New[[2]string, [3]float64]()
+		c.refine[index] = r
+	}
+	return r
 }
 
 // Len returns the number of cached sentence analyses.

@@ -70,10 +70,12 @@ type Config struct {
 	// dependency parsing, noun-phrase extraction — across pipelines. The
 	// analysis is a pure function of the sentence tokens, the tagger lexicon
 	// and the chunking mode, all of which are part of the cache key, so one
-	// cache may serve differently configured runs. Results are identical
-	// with or without the cache; only the stage accounting shifts (a cache
-	// hit records the lookup under phrase_extract and skips the pos_tag /
-	// dep_parse observations).
+	// cache may serve differently configured runs. It also shares the
+	// refinement scores of every (phrase, matched seed) pair among all
+	// pipelines over the same embedding space, whatever their τ or table.
+	// Results are identical with or without the cache; only the stage
+	// accounting shifts (a cache hit records the lookup under phrase_extract
+	// and skips the pos_tag / dep_parse observations).
 	ParseCache *ParseCache
 	// UseSemantic/UseJaccard/UseGestalt select the refinement scores that
 	// participate in the combined score. All false means all three (the
@@ -443,8 +445,10 @@ type Pipeline struct {
 	spars   sparsityInstruments
 	// refine memoizes the three syntactic-refinement similarities per
 	// (phrase, matched seed) pair. The same pairs recur across sentences and
-	// documents, and all three scores are pure functions of the pair, so the
-	// read-mostly map turns the refinement stage into a lookup.
+	// documents, and all three scores are pure functions of the pair and the
+	// space, so the read-mostly map turns the refinement stage into a
+	// lookup. With a ParseCache the memo is the cache's, shared by every
+	// pipeline over the same space.
 	refine *cow.Map[[2]string, [3]float64]
 	// parse is the optional shared sentence-analysis cache (cfg.ParseCache),
 	// parseFP the pipeline's analysis-configuration fingerprint and docFP
@@ -504,12 +508,14 @@ func New(table *schema.Table, space *embed.Space, cfg Config) (*Pipeline, error)
 		tuneDur: tuneDur,
 		ins:     newInstruments(cfg.Metrics),
 		spars:   newSparsityInstruments(cfg.Metrics, table),
-		refine:  cow.New[[2]string, [3]float64](),
 		parse:   cfg.ParseCache,
 	}
 	if p.parse != nil {
 		p.parseFP = parseFingerprint(cfg.Lexicon, cfg.NaiveChunking)
 		p.docFP = docFingerprint(p.parseFP, table.Subjects())
+		p.refine = p.parse.refineFor(space.Index())
+	} else {
+		p.refine = cow.New[[2]string, [3]float64]()
 	}
 	// The fine-tune histogram observes once per pipeline; Run seeds its
 	// Stats.Stages row from tuneDur instead of re-observing.

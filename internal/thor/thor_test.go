@@ -3,9 +3,12 @@ package thor
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"thor/internal/datagen"
 	"thor/internal/embed"
 	"thor/internal/matcher"
 	"thor/internal/schema"
@@ -283,21 +286,45 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPipelineCachedPathsMatchUncached extends the parallel-determinism
-// property to the cached fine-tune and parse paths: a τ sweep sharing one
-// matcher cache and one parse cache — sequentially and under a parallel
-// worker pool, with the caches warm and cold — must produce exactly the
-// entities of an uncached sequential run at every threshold.
+// property to the cached fine-tune, parse and refinement paths: a τ sweep
+// sharing one matcher cache and one parse cache — sequentially and under a
+// parallel worker pool, with the caches warm and cold — must produce exactly
+// the entities of an uncached sequential run at every threshold, every field
+// and score included. It runs over the fig1 table and, unless -short, over
+// seeded subsets of generated Disease datasets.
 func TestPipelineCachedPathsMatchUncached(t *testing.T) {
-	table, space := fig1Table(), fig1Space()
 	var docs []segment.Document
 	for i := 0; i < 8; i++ {
 		docs = append(docs, fig1Docs()[0])
 		docs[i].Name = fmt.Sprintf("doc-%d", i)
 	}
+	checkCachedMatchesUncached(t, "fig1", fig1Table(), fig1Space(), docs, Config{})
+	if testing.Short() {
+		return // the generated Disease subsets take seconds
+	}
+	for _, seed := range []int64{datagen.DiseaseSeed, 3, 11} {
+		ds := datagen.Disease(seed)
+		rng := rand.New(rand.NewSource(seed))
+		var sub []segment.Document
+		for _, i := range rng.Perm(len(ds.Test.Docs))[:10] {
+			sub = append(sub, ds.Test.Docs[i])
+		}
+		checkCachedMatchesUncached(t, fmt.Sprintf("disease seed %d", seed), ds.TestTable(), ds.Space, sub,
+			Config{Knowledge: ds.Table, Lexicon: ds.Lexicon})
+	}
+}
+
+// checkCachedMatchesUncached runs the six-τ sweep of the cached-path
+// property over one table, space and document set; base supplies every
+// setting but τ, the workers and the caches.
+func checkCachedMatchesUncached(t *testing.T, name string, table *schema.Table, space *embed.Space, docs []segment.Document, base Config) {
+	t.Helper()
 	tune := matcher.NewCache()
 	parse := NewParseCache()
 	for _, tau := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		plain, err := Run(table, space, docs, Config{Tau: tau})
+		cfg := base
+		cfg.Tau = tau
+		plain, err := Run(table, space, docs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,31 +333,76 @@ func TestPipelineCachedPathsMatchUncached(t *testing.T) {
 			// Two rounds per configuration: the first may fill the shared
 			// caches, the second always hits them.
 			for round := 0; round < 2; round++ {
-				res, err := Run(table, space, docs, Config{
-					Tau:        tau,
-					Workers:    workers,
-					TuneCache:  tune,
-					ParseCache: parse,
-				})
+				cfg.Workers, cfg.TuneCache, cfg.ParseCache = workers, tune, parse
+				res, err := Run(table, space, docs, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := res.AllEntities()
-				if len(got) != len(want) {
-					t.Fatalf("τ=%.1f workers=%d round=%d: %d entities, uncached %d",
-						tau, workers, round, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("τ=%.1f workers=%d round=%d: entity %d differs: %+v vs %+v",
-							tau, workers, round, i, got[i], want[i])
-					}
-				}
+				where := fmt.Sprintf("%s τ=%.1f workers=%d round=%d", name, tau, workers, round)
+				checkSameEntities(t, where, res.AllEntities(), want)
 			}
 		}
 	}
 	if parse.Len() == 0 {
-		t.Error("parse cache never populated")
+		t.Errorf("%s: parse cache never populated", name)
+	}
+}
+
+// checkSameEntities asserts that got and want hold the same entities in the
+// same order, every field equal and every score equal bit for bit.
+func checkSameEntities(t *testing.T, where string, got, want []Entity) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entities, want %d", where, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g != w ||
+			math.Float64bits(g.ScoreS) != math.Float64bits(w.ScoreS) ||
+			math.Float64bits(g.ScoreW) != math.Float64bits(w.ScoreW) ||
+			math.Float64bits(g.ScoreC) != math.Float64bits(w.ScoreC) ||
+			math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: entity %d differs:\n got %+v\nwant %+v", where, i, g, w)
+		}
+	}
+}
+
+// TestParseCacheRefinementInvalidatedByAdd pins the refinement memo's key:
+// two runs share one ParseCache (and one matcher cache) with a Space.Add
+// between them that moves a seed's phrase vector. The second run must score
+// exactly like an uncached run on the changed space — and at least one
+// (phrase, matched seed) pair the two runs share must have changed its
+// semantic score, so serving the first run's memo would have been caught.
+func TestParseCacheRefinementInvalidatedByAdd(t *testing.T) {
+	table, space, docs := fig1Table(), fig1Space(), fig1Docs()
+	cfg := Config{Tau: 0.6, TuneCache: matcher.NewCache(), ParseCache: NewParseCache()}
+	before, err := Run(table, space, docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "nervous" is a modifier of the Anatomy seed "nervous system": moving
+	// it within the anatomy cluster changes the seed's phrase vector, and
+	// with it every Anatomy entity's semantic score, but not the seed head.
+	space.Add("nervous", embed.Blend(embed.HashVector("centroid:anatomy"), embed.HashVector("noise:nervous-moved"), 0.58))
+	after, err := Run(table, space, docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(table, space, docs, Config{Tau: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameEntities(t, "after Add", after.AllEntities(), plain.AllEntities())
+	moved := false
+	for _, a := range after.AllEntities() {
+		for _, b := range before.AllEntities() {
+			if a.Phrase == b.Phrase && a.Matched == b.Matched && a.ScoreS != b.ScoreS {
+				moved = true
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("the Add changed no shared pair's semantic score; the invalidation is untested")
 	}
 }
 
