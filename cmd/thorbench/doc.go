@@ -19,10 +19,4 @@
 // clean run); non-zero exit if it is violated:
 //
 //	thorbench -chaos -chaos-seed 42 -chaos-error-rate 0.03 -chaos-panic-rate 0.01
-//
-// Serving mode drives closed-loop HTTP load against an in-process instance
-// of thord's engine (internal/serve) and records throughput and latency
-// percentiles per concurrency level:
-//
-//	thorbench -serve -serve-levels 1,8,64 -serve-out BENCH_SERVE_BASELINE.json
 package main

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"os"
 	"runtime/trace"
-	"time"
 
 	"thor/internal/chaos"
 	"thor/internal/datagen"
@@ -31,17 +30,6 @@ func main() {
 	chaosErrRate := flag.Float64("chaos-error-rate", 0.03, "per-site injected error probability")
 	chaosPanicRate := flag.Float64("chaos-panic-rate", 0.01, "per-site injected panic probability")
 
-	serveMode := flag.Bool("serve", false, "benchmark the online serving path (internal/serve) instead of the experiments")
-	serveOut := flag.String("serve-out", "BENCH_SERVE_BASELINE.json", "where -serve writes the baseline document")
-	serveDuration := flag.Duration("serve-duration", 3*time.Second, "measured wall clock per -serve/-router concurrency level")
-	serveLevels := flag.String("serve-levels", "1,8,64", "comma-separated closed-loop client counts for -serve/-router")
-
-	routerMode := flag.Bool("router", false, "benchmark the sharded tier: spawn thord backends + thor-router as processes and drive load through the router")
-	routerOut := flag.String("router-out", "BENCH_ROUTER_BASELINE.json", "where -router writes the baseline document")
-	routerBackends := flag.Int("router-backends", 3, "number of thord backend processes behind the router")
-	routerBaselineIn := flag.String("router-baseline", "BENCH_SERVE_BASELINE.json", "single-node serving baseline to compare -router throughput against")
-	thordBin := flag.String("thord-bin", "", "path to a prebuilt thord binary (default: go build ./cmd/thord into a temp dir)")
-	routerBin := flag.String("router-bin", "", "path to a prebuilt thor-router binary (default: go build ./cmd/thor-router into a temp dir)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
@@ -58,14 +46,6 @@ func main() {
 
 	if *chaosMode {
 		runChaos(*chaosSeed, *chaosErrRate, *chaosPanicRate)
-		return
-	}
-	if *serveMode {
-		runServe(*serveOut, *serveDuration, *serveLevels)
-		return
-	}
-	if *routerMode {
-		runRouter(*routerOut, *routerBaselineIn, *serveDuration, *serveLevels, *routerBackends, *thordBin, *routerBin)
 		return
 	}
 

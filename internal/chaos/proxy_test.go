@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -114,7 +115,7 @@ func TestProxyDownYieldsTransientRetryableError(t *testing.T) {
 	p, _ := newProxyFixture(t)
 	p.SetDown(true)
 	calls := 0
-	err := Retry(t.Context(), Backoff{Attempts: 5, Base: time.Millisecond, Cap: 5 * time.Millisecond}, "proxy",
+	err := Retry(context.Background(), Backoff{Attempts: 5, Base: time.Millisecond, Cap: 5 * time.Millisecond}, "proxy",
 		func(attempt int) error {
 			calls++
 			if attempt == 2 {

@@ -1,10 +1,6 @@
 package datagen
 
-import (
-	"math/rand"
-
-	"thor/internal/schema"
-)
+import "math/rand"
 
 // DiseaseSeed is the default generation seed for the Disease A-Z dataset.
 const DiseaseSeed = 20240115
@@ -194,11 +190,4 @@ func diseaseNames(rng *rand.Rand, n int) []string {
 		names = append(names, name)
 	}
 	return names
-}
-
-// DiseaseSchema returns the Disease A-Z schema (Table II).
-func DiseaseSchema() schema.Schema {
-	return schema.NewSchema("Disease", "Anatomy", "Cause", "Complication",
-		"Composition", "Diagnosis", "Medicine", "Precaution", "Riskfactor",
-		"Surgery", "Symptom")
 }

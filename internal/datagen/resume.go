@@ -3,8 +3,6 @@ package datagen
 import (
 	"math/rand"
 	"strconv"
-
-	"thor/internal/schema"
 )
 
 // ResumeSeed is the default generation seed for the Résumé dataset.
@@ -264,11 +262,4 @@ func yoePhrases() []string {
 		out = append(out, strconv.Itoa(y)+" years of experience")
 	}
 	return out
-}
-
-// ResumeSchema returns the Résumé schema (Table II).
-func ResumeSchema() schema.Schema {
-	return schema.NewSchema("Name", "Awards", "Certification", "Degree",
-		"University", "College Name", "Language", "Location", "Worked As",
-		"Skills", "Companies Worked At", "Years Of Experience")
 }

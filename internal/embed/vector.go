@@ -64,15 +64,6 @@ func (v Vector) Scale(a float64) Vector {
 	return out
 }
 
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) float64 {
-	var s float64
-	for i := range v {
-		s += float64(v[i]) * float64(w[i])
-	}
-	return s
-}
-
 // Cosine returns the cosine similarity of v and w in [-1, 1]. If either
 // vector is zero the similarity is defined as 0.
 func Cosine(v, w Vector) float64 { return CosineAt(&v, &w) }

@@ -77,13 +77,6 @@ func lmHumanFor(ds *datagen.Dataset, n int) *models.LMHuman {
 	return m
 }
 
-// TuneCache returns the shared fine-tune cache the experiments run with.
-func TuneCache() *matcher.Cache { return tuneCache }
-
-// SharedParseCache returns the shared sentence-analysis cache the
-// experiments run with.
-func SharedParseCache() *thor.ParseCache { return parseCache }
-
 // DiseaseDataset returns the shared Disease A-Z dataset.
 func DiseaseDataset() *datagen.Dataset {
 	diseaseOnce.Do(func() { diseaseDS = datagen.Disease(datagen.DiseaseSeed) })

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"thor/internal/datagen"
 	"thor/internal/eval"
 	"thor/internal/models"
-	"thor/internal/segment"
 	"thor/internal/thor"
 )
 
@@ -41,9 +39,6 @@ type SystemResult struct {
 	// latency breakdown (THOR rows only; zero for comparator models).
 	Stats thor.Stats
 }
-
-// ThorOnly reports whether the row belongs to the THOR sweep.
-func (r SystemResult) ThorOnly() bool { return r.Tau > 0 }
 
 // Comparison holds every system's result on one dataset, THOR sweep first.
 type Comparison struct {
@@ -262,18 +257,4 @@ func tableWords(ds *datagen.Dataset) int {
 		}
 	}
 	return n
-}
-
-// SubjectsOf lists the distinct subjects in a document set (diagnostics).
-func SubjectsOf(docs []segment.Document) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range docs {
-		if d.DefaultSubject != "" && !seen[d.DefaultSubject] {
-			seen[d.DefaultSubject] = true
-			out = append(out, d.DefaultSubject)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

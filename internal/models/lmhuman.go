@@ -330,9 +330,6 @@ func (m *LMHuman) classify(phrase string) (schema.Concept, bool) {
 // vocabulary. Exposed for diagnostics and tests.
 func (m *LMHuman) ContextKnown(word string) bool { return m.posContext[word] }
 
-// ContextSize returns the size of the learned positive-context vocabulary.
-func (m *LMHuman) ContextSize() int { return len(m.posContext) }
-
 // SetRecognition overrides the per-surface-form recognition probability
 // (default 0.66). Exposed for experiments and tests.
 func (m *LMHuman) SetRecognition(q float64) {

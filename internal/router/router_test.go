@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -475,7 +476,7 @@ func TestProberClassifiesBackends(t *testing.T) {
 	down.ts.Close()
 
 	rt := newTestRouter(t, obs.NewRegistry(), Options{}, healthy.ts.URL, degraded.ts.URL, down.ts.URL)
-	rt.Probe(t.Context())
+	rt.Probe(context.Background())
 
 	top := rt.Topology()
 	got := map[string]string{}
