@@ -9,4 +9,22 @@
 // centroids by the dataset generator; unknown words fall back to subword
 // (character n-gram) hash vectors so that morphologically related words
 // ("cancer" / "cancerous") remain close.
+//
+// # Performance
+//
+// The matcher's sweeps run on Matrix slabs screened by a sketch bound (see
+// soa.go). Every kernel that scores several dot products at once — cosine4
+// over four rows, the four-row bound behind ArgMax, PrefixMaxFloor and
+// EachAtLeast, the four-direction sketch, and NewBasis deflating four
+// residual rows per pass on every core — keeps one accumulator per product
+// over ascending components. Interleaving the chains only lets the
+// processor overlap their adds, so each value is bit-identical to the
+// one-chain loop; the kernel tests in soa_test.go keep those loops as
+// references, and the skip decisions of every sweep are unchanged.
+//
+// Space.PhraseVectorCached returns a pointer into the phrase-vector memo:
+// hits, snapshot merges and concurrent misses (which share one stored
+// vector through cow.Map.GetOrCompute) copy 8 bytes, not a 1 KB Vector.
+// The shared vector is read-only. Basis.Query and ThresholdIndex.Query take
+// vectors by pointer for the same reason.
 package embed

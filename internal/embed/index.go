@@ -42,7 +42,7 @@ func (idx *ThresholdIndex) Len() int { return len(idx.words) }
 // query, ordered by decreasing similarity with ties broken alphabetically —
 // bit-for-bit identical to Space.Neighbors on the snapshotted vocabulary.
 func (idx *ThresholdIndex) Neighbors(query Vector, tau float64) []Neighbor {
-	q := idx.basis.Query(query)
+	q := idx.basis.Query(&query)
 	return idx.NeighborsQuery(&q, tau)
 }
 
@@ -62,5 +62,5 @@ func (idx *ThresholdIndex) NeighborsQuery(q *Query, tau float64) []Neighbor {
 	return out
 }
 
-// Query precomputes the sweep view of v under the index's basis.
-func (idx *ThresholdIndex) Query(v Vector) Query { return idx.basis.Query(v) }
+// Query precomputes the sweep view of *v under the index's basis.
+func (idx *ThresholdIndex) Query(v *Vector) Query { return idx.basis.Query(v) }

@@ -80,12 +80,18 @@ type Basis struct {
 // what makes the sketch bound tight. The construction is deterministic in
 // the order of vs (ties pick the earliest). A nil or empty sample yields an
 // empty basis whose bound is vacuous (always 1) but still correct.
+//
+// Each accepted direction deflates the residuals on every core, four rows
+// per pass, and the same pass refreshes each row's residual norm² for the
+// next pick. Every row keeps its own accumulators over ascending
+// components, so the basis is bit-identical to deflating one row at a time
+// and recomputing every norm² before each pick.
 func NewBasis(vs []Vector) *Basis {
 	b := &Basis{}
 	if len(vs) == 0 {
 		return b
 	}
-	// Unit-normalized float64 residuals.
+	// Unit-normalized float64 residuals and their squared norms.
 	resid := make([][Dim]float64, 0, len(vs))
 	for i := range vs {
 		var r [Dim]float64
@@ -104,14 +110,14 @@ func NewBasis(vs []Vector) *Basis {
 		}
 		resid = append(resid, r)
 	}
+	norms := make([]float64, len(resid))
+	for i := range resid {
+		norms[i] = sqNorm(&resid[i])
+	}
 	for len(b.dirs) < SketchDim {
 		// Pick the vector with the largest residual norm².
 		bestI, bestN := -1, 0.0
-		for i := range resid {
-			n := 0.0
-			for j := range resid[i] {
-				n += resid[i][j] * resid[i][j]
-			}
+		for i, n := range norms {
 			if n > bestN {
 				bestI, bestN = i, n
 			}
@@ -137,10 +143,7 @@ func NewBasis(vs []Vector) *Basis {
 				dir[j] -= dot * d[j]
 			}
 		}
-		n := 0.0
-		for j := range dir {
-			n += dir[j] * dir[j]
-		}
+		n := sqNorm(&dir)
 		if n < 1e-12 {
 			break
 		}
@@ -149,46 +152,112 @@ func NewBasis(vs []Vector) *Basis {
 			dir[j] *= inv
 		}
 		b.dirs = append(b.dirs, dir)
-		// Deflate all residuals.
-		for i := range resid {
-			dot := 0.0
-			for j := range resid[i] {
-				dot += resid[i][j] * dir[j]
-			}
-			for j := range resid[i] {
-				resid[i][j] -= dot * dir[j]
-			}
+		if len(b.dirs) == SketchDim {
+			break // no further pick reads the residuals
 		}
+		par.For((len(resid)+3)/4, func(g int) { deflate4(resid, norms, 4*g, &dir) })
 	}
 	return b
 }
 
+// sqNorm returns the squared norm of r, summed over ascending components.
+func sqNorm(r *[Dim]float64) float64 {
+	n := 0.0
+	for j := range r {
+		n += r[j] * r[j]
+	}
+	return n
+}
+
+// deflate4 removes the dir component from residual rows lo..lo+3 (fewer at
+// the end of the slice) and stores each row's new squared norm. A row's dot
+// product, update and norm² each run over ascending components, as for a
+// lone row; the four rows only interleave their independent chains.
+func deflate4(resid [][Dim]float64, norms []float64, lo int, dir *[Dim]float64) {
+	if lo+4 > len(resid) {
+		for i := lo; i < len(resid); i++ {
+			r := &resid[i]
+			dot := 0.0
+			for j := range r {
+				dot += r[j] * dir[j]
+			}
+			n := 0.0
+			for j := range r {
+				r[j] -= dot * dir[j]
+				n += r[j] * r[j]
+			}
+			norms[i] = n
+		}
+		return
+	}
+	r0, r1, r2, r3 := &resid[lo], &resid[lo+1], &resid[lo+2], &resid[lo+3]
+	var d0, d1, d2, d3 float64
+	for j := 0; j < Dim; j++ {
+		x := dir[j]
+		d0 += r0[j] * x
+		d1 += r1[j] * x
+		d2 += r2[j] * x
+		d3 += r3[j] * x
+	}
+	var n0, n1, n2, n3 float64
+	for j := 0; j < Dim; j++ {
+		x := dir[j]
+		r0[j] -= d0 * x
+		r1[j] -= d1 * x
+		r2[j] -= d2 * x
+		r3[j] -= d3 * x
+		n0 += r0[j] * r0[j]
+		n1 += r1[j] * r1[j]
+		n2 += r2[j] * r2[j]
+		n3 += r3[j] * r3[j]
+	}
+	norms[lo], norms[lo+1], norms[lo+2], norms[lo+3] = n0, n1, n2, n3
+}
+
 // sketch computes the basis coordinates and off-span residual norm of the
 // unit direction of v. comps must hold v converted to float64 and nv its
-// CosineAt-style squared norm.
+// CosineAt-style squared norm. It scores four directions per pass over
+// comps; each direction keeps its own accumulator over ascending
+// components, so every coordinate equals a lone dot product bit for bit,
+// and the coordinates then fold into the residual in direction order.
 func (b *Basis) sketch(comps []float64, nv float64, sk []float64) (resid float64) {
 	if nv == 0 {
-		for t := range b.dirs {
-			sk[t] = 0
-		}
-		for t := len(b.dirs); t < len(sk); t++ {
+		for t := range sk {
 			sk[t] = 0
 		}
 		return 0
 	}
-	inv := 1 / math.Sqrt(nv)
-	rem := 1.0
-	for t := range b.dirs {
+	comps = comps[:Dim]
+	nd := len(b.dirs)
+	t := 0
+	for ; t+4 <= nd; t += 4 {
+		d0, d1, d2, d3 := &b.dirs[t], &b.dirs[t+1], &b.dirs[t+2], &b.dirs[t+3]
+		var s0, s1, s2, s3 float64
+		for j := 0; j < Dim; j++ {
+			x := comps[j]
+			s0 += x * d0[j]
+			s1 += x * d1[j]
+			s2 += x * d2[j]
+			s3 += x * d3[j]
+		}
+		sk[t], sk[t+1], sk[t+2], sk[t+3] = s0, s1, s2, s3
+	}
+	for ; t < nd; t++ {
 		dot := 0.0
 		d := &b.dirs[t]
 		for j := 0; j < Dim; j++ {
 			dot += comps[j] * d[j]
 		}
-		dot *= inv
+		sk[t] = dot
+	}
+	inv := 1 / math.Sqrt(nv)
+	rem := 1.0
+	for t := 0; t < nd; t++ {
+		dot := sk[t] * inv
 		sk[t] = dot
 		rem -= dot * dot
 	}
-	for t := len(b.dirs); t < len(sk); t++ {
+	for t := nd; t < len(sk); t++ {
 		sk[t] = 0
 	}
 	if rem < 0 {
@@ -208,8 +277,8 @@ type Query struct {
 	resid float64
 }
 
-// Query precomputes the sweep view of v under the basis.
-func (b *Basis) Query(v Vector) Query {
+// Query precomputes the sweep view of *v under the basis.
+func (b *Basis) Query(v *Vector) Query {
 	var q Query
 	for i, x := range v {
 		f := float64(x)
@@ -331,6 +400,34 @@ func (m *Matrix) bound(q *Query, i int) float64 {
 	return ub
 }
 
+// bounds fills ub with bound(q, i) for rows i, i+1, ... below end, at most
+// four, and returns how many it filled. A full group of four runs as four
+// interleaved chains, each accumulating in bound's order, so every value
+// equals bound's bit for bit and the sweeps' skip decisions do not change.
+func (m *Matrix) bounds(q *Query, i, end int, ub *[4]float64) int {
+	if end-i < 4 {
+		for k := i; k < end; k++ {
+			ub[k-i] = m.bound(q, k)
+		}
+		return end - i
+	}
+	s0 := m.sk[i*SketchDim:][:SketchDim]
+	s1 := m.sk[(i+1)*SketchDim:][:SketchDim]
+	s2 := m.sk[(i+2)*SketchDim:][:SketchDim]
+	s3 := m.sk[(i+3)*SketchDim:][:SketchDim]
+	r := m.resid[i:][:4]
+	u0, u1, u2, u3 := q.resid*r[0], q.resid*r[1], q.resid*r[2], q.resid*r[3]
+	for t := 0; t < SketchDim; t++ {
+		x := q.sk[t]
+		u0 += x * s0[t]
+		u1 += x * s1[t]
+		u2 += x * s2[t]
+		u3 += x * s3[t]
+	}
+	ub[0], ub[1], ub[2], ub[3] = u0, u1, u2, u3
+	return 4
+}
+
 // ArgMax returns the index and similarity of the first row whose cosine
 // attains the maximum among rows with cosine strictly greater than init
 // (-1 if no row exceeds init). It reproduces the sequential
@@ -338,10 +435,12 @@ func (m *Matrix) bound(q *Query, i int) float64 {
 // on ties — while using the sketch bound to skip rows that provably cannot
 // exceed the running best.
 //
-// Rows that pass the bound are buffered and scored four at a time by
-// cosine4, then folded into the running best in row order. A row is tested
-// against the best as of the last fold, which is never above the true
-// running best, so the bound still skips only rows that cannot win.
+// Bounds come four rows at a time from bounds, and each is tested in row
+// order against the best as it stands, exactly as a one-row loop would.
+// Rows that pass are buffered and scored four at a time by cosine4, then
+// folded into the running best in row order. A row is tested against the
+// best as of the last fold, which is never above the true running best, so
+// the bound still skips only rows that cannot win.
 func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 	bestI, best := -1, init
 	if q.nv == 0 {
@@ -353,21 +452,24 @@ func (m *Matrix) ArgMax(q *Query, init float64) (int, float64) {
 	}
 	var filtered, passed uint64
 	var rows [4]int
+	var ub [4]float64
 	pending := 0
-	for i := 0; i < m.n; i++ {
-		if m.bound(q, i)+boundMargin < best {
-			filtered++
-			continue
-		}
-		passed++
-		rows[pending] = i
-		if pending++; pending < len(rows) {
-			continue
-		}
-		pending = 0
-		for k, c := range m.cosine4(q, &rows) {
-			if c > best {
-				best, bestI = c, rows[k]
+	for lo := 0; lo < m.n; lo += 4 {
+		for k, n := 0, m.bounds(q, lo, m.n, &ub); k < n; k++ {
+			if ub[k]+boundMargin < best {
+				filtered++
+				continue
+			}
+			passed++
+			rows[pending] = lo + k
+			if pending++; pending < len(rows) {
+				continue
+			}
+			pending = 0
+			for r, c := range m.cosine4(q, &rows) {
+				if c > best {
+					best, bestI = c, rows[r]
+				}
 			}
 		}
 	}
@@ -394,8 +496,9 @@ func (m *Matrix) Max(q *Query, init float64) float64 {
 // exactly (the bound only skips rows that provably cannot raise the running
 // maximum, and the maximum of a set is order-independent); prefixes whose
 // true maximum does not exceed floor come back as floor itself, which is what
-// lets the bound skip nearly every sub-floor row. dst must have
-// length hi-lo.
+// lets the bound skip nearly every sub-floor row. Bounds come four rows at a
+// time from bounds and meet the running maximum in row order, as in a
+// one-row loop. dst must have length hi-lo.
 func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float64) {
 	if q.nv == 0 {
 		// Every cosine is 0, matching CosineAt's zero-vector convention; the
@@ -411,25 +514,30 @@ func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float
 	}
 	run := floor
 	var filtered, passed uint64
-	for i := lo; i < hi; i++ {
-		if m.bound(q, i)+boundMargin < run {
-			filtered++
-		} else {
-			passed++
-			if c := m.Cosine(q, i); c > run {
-				run = c
+	var ub [4]float64
+	for g := lo; g < hi; g += 4 {
+		for k, n := 0, m.bounds(q, g, hi, &ub); k < n; k++ {
+			i := g + k
+			if ub[k]+boundMargin < run {
+				filtered++
+			} else {
+				passed++
+				if c := m.Cosine(q, i); c > run {
+					run = c
+				}
 			}
+			dst[i-lo] = run
 		}
-		dst[i-lo] = run
 	}
 	addSweepStats(filtered, passed)
 }
 
 // EachAtLeast calls f(i, sim) for every row whose cosine reaches tau, in row
 // order, using the sketch bound to skip rows that provably fall short. The
-// set and similarities reported are exactly those of a full sweep. Rows that
-// pass the bound are scored four at a time by cosine4; tau is fixed, so the
-// buffering changes neither which rows pass nor the order f sees them in.
+// set and similarities reported are exactly those of a full sweep. Bounds
+// come four rows at a time from bounds, and rows that pass are scored four
+// at a time by cosine4; tau is fixed, so the grouping changes neither which
+// rows pass nor the order f sees them in.
 func (m *Matrix) EachAtLeast(q *Query, tau float64, f func(i int, sim float64)) {
 	if q.nv == 0 {
 		if tau > 0 {
@@ -442,21 +550,24 @@ func (m *Matrix) EachAtLeast(q *Query, tau float64, f func(i int, sim float64)) 
 	}
 	var filtered, passed uint64
 	var rows [4]int
+	var ub [4]float64
 	pending := 0
-	for i := 0; i < m.n; i++ {
-		if m.bound(q, i)+boundMargin < tau {
-			filtered++
-			continue
-		}
-		passed++
-		rows[pending] = i
-		if pending++; pending < len(rows) {
-			continue
-		}
-		pending = 0
-		for k, c := range m.cosine4(q, &rows) {
-			if c >= tau {
-				f(rows[k], c)
+	for lo := 0; lo < m.n; lo += 4 {
+		for k, n := 0, m.bounds(q, lo, m.n, &ub); k < n; k++ {
+			if ub[k]+boundMargin < tau {
+				filtered++
+				continue
+			}
+			passed++
+			rows[pending] = lo + k
+			if pending++; pending < len(rows) {
+				continue
+			}
+			pending = 0
+			for r, c := range m.cosine4(q, &rows) {
+				if c >= tau {
+					f(rows[r], c)
+				}
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func TestMatrixCosineBitIdentical(t *testing.T) {
 		{}, // zero query
 	}
 	for qi, qv := range queries {
-		q := b.Query(qv)
+		q := b.Query(&qv)
 		for i := range vecs {
 			want := CosineAt(&qv, &vecs[i])
 			if got := m.Cosine(&q, i); got != want {
@@ -123,7 +123,7 @@ func TestQuantEdgeCases(t *testing.T) {
 	b := NewBasis(edge)
 	m := NewMatrix(b, edge)
 	for qi, qv := range queries {
-		q := b.Query(qv)
+		q := b.Query(&qv)
 		for i := range edge {
 			if bd, cos := m.bound(&q, i), m.Cosine(&q, i); bd+boundMargin < cos {
 				t.Fatalf("query %d row %d: bound %v + margin < cosine %v", qi, i, bd, cos)
@@ -161,11 +161,11 @@ func TestQuantEdgeCases(t *testing.T) {
 	checkSweepsMatchBrute(t, "duplicates", dups, append(append([]Vector{target}, dups...), Vector{}))
 	db := NewBasis(dups)
 	dm := NewMatrix(db, dups)
-	dq := db.Query(target)
+	dq := db.Query(&target)
 	if i, _ := dm.ArgMax(&dq, -2); i != 3 {
 		t.Fatalf("duplicate rows 3 and 4 tie for the maximum; ArgMax returned %d, want 3", i)
 	}
-	dq = db.Query(dups[6])
+	dq = db.Query(&dups[6])
 	if i, _ := dm.ArgMax(&dq, 0.5); i != 6 {
 		t.Fatalf("rows 6, 7 and 8 tie for the maximum; ArgMax returned %d, want 6", i)
 	}
@@ -176,14 +176,14 @@ func TestQuantEdgeCases(t *testing.T) {
 	checkSweepsMatchBrute(t, "single-row", single, []Vector{single[0], {}, HashVector("other")})
 	sb := NewBasis(single)
 	sm := NewMatrix(sb, single)
-	q := sb.Query(single[0])
+	q := sb.Query(&single[0])
 	if i, sim := sm.ArgMax(&q, -2); i != 0 || sim != sm.Cosine(&q, 0) {
 		t.Fatalf("single-row ArgMax: got (%d,%v)", i, sim)
 	}
 	if i, _ := sm.ArgMax(&q, 2); i != -1 {
 		t.Fatalf("single-row ArgMax with unreachable init returned %d", i)
 	}
-	zq := sb.Query(Vector{})
+	zq := sb.Query(&Vector{})
 	if i, sim := sm.ArgMax(&zq, -1); i != 0 || sim != 0 {
 		t.Fatalf("single-row zero-query ArgMax: got (%d,%v)", i, sim)
 	}
@@ -200,7 +200,7 @@ func checkSweepsMatchBrute(t *testing.T, name string, vecs, queries []Vector) {
 	inits := []float64{-2, 0, 0.5, 0.85, 2}
 	taus := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	for qi, qv := range queries {
-		q := b.Query(qv)
+		q := b.Query(&qv)
 		for i := range vecs {
 			rows := [4]int{i, (i + 1) % len(vecs), (i + 2) % len(vecs), (i + 3) % len(vecs)}
 			for k, c := range m.cosine4(&q, &rows) {
@@ -263,7 +263,7 @@ func TestQuantCountersAdvance(t *testing.T) {
 	b := NewBasis(vecs)
 	m := NewMatrix(b, vecs)
 	f0, p0 := QuantCounters()
-	q := b.Query(vecs[0])
+	q := b.Query(&vecs[0])
 	m.ArgMax(&q, 0.95)
 	f1, p1 := QuantCounters()
 	if got, want := (f1-f0)+(p1-p0), uint64(m.Len()); got != want {
@@ -271,6 +271,231 @@ func TestQuantCountersAdvance(t *testing.T) {
 	}
 	if f1 == f0 {
 		t.Fatal("sketch bound rejected no row of a 0.95 sweep over clustered data")
+	}
+}
+
+// The kernel bit-identity tests below pin the multi-chain kernels to the
+// one-chain loops they replaced, which are kept here as references. Each
+// fails if a kernel changes the order in which any one value accumulates.
+
+// refSketch is Basis.sketch scoring one direction per pass.
+func refSketch(b *Basis, comps []float64, nv float64, sk []float64) float64 {
+	if nv == 0 {
+		for t := range sk {
+			sk[t] = 0
+		}
+		return 0
+	}
+	inv := 1 / math.Sqrt(nv)
+	rem := 1.0
+	for t := range b.dirs {
+		dot := 0.0
+		d := &b.dirs[t]
+		for j := 0; j < Dim; j++ {
+			dot += comps[j] * d[j]
+		}
+		dot *= inv
+		sk[t] = dot
+		rem -= dot * dot
+	}
+	for t := len(b.dirs); t < len(sk); t++ {
+		sk[t] = 0
+	}
+	if rem < 0 {
+		rem = 0
+	}
+	return math.Sqrt(rem)
+}
+
+// refNewBasis is NewBasis deflating one row at a time on one goroutine and
+// recomputing every residual norm² before each pick.
+func refNewBasis(vs []Vector) *Basis {
+	b := &Basis{}
+	var resid [][Dim]float64
+	for i := range vs {
+		var r [Dim]float64
+		n := 0.0
+		for j, x := range vs[i] {
+			f := float64(x)
+			r[j] = f
+			n += f * f
+		}
+		if n == 0 {
+			continue
+		}
+		inv := 1 / math.Sqrt(n)
+		for j := range r {
+			r[j] *= inv
+		}
+		resid = append(resid, r)
+	}
+	for len(b.dirs) < SketchDim {
+		bestI, bestN := -1, 0.0
+		for i := range resid {
+			n := 0.0
+			for j := range resid[i] {
+				n += resid[i][j] * resid[i][j]
+			}
+			if n > bestN {
+				bestI, bestN = i, n
+			}
+		}
+		if bestI < 0 || bestN < 0.05 {
+			break
+		}
+		dir := resid[bestI]
+		inv := 1 / math.Sqrt(bestN)
+		for j := range dir {
+			dir[j] *= inv
+		}
+		for _, d := range b.dirs {
+			dot := 0.0
+			for j := range dir {
+				dot += dir[j] * d[j]
+			}
+			for j := range dir {
+				dir[j] -= dot * d[j]
+			}
+		}
+		n := 0.0
+		for j := range dir {
+			n += dir[j] * dir[j]
+		}
+		if n < 1e-12 {
+			break
+		}
+		inv = 1 / math.Sqrt(n)
+		for j := range dir {
+			dir[j] *= inv
+		}
+		b.dirs = append(b.dirs, dir)
+		for i := range resid {
+			dot := 0.0
+			for j := range resid[i] {
+				dot += resid[i][j] * dir[j]
+			}
+			for j := range resid[i] {
+				resid[i][j] -= dot * dir[j]
+			}
+		}
+	}
+	return b
+}
+
+// kernelSamples are the vector sets the kernel tests run over: generated
+// spaces (clusters, noise and exact duplicates), a larger clustered space,
+// samples with zero and repeated vectors, and samples spanning fewer than
+// SketchDim independent directions.
+func kernelSamples() map[string][]Vector {
+	words := func(s *Space) []Vector {
+		var vs []Vector
+		for _, w := range s.Words() {
+			vs = append(vs, s.Lookup(w))
+		}
+		return vs
+	}
+	out := map[string][]Vector{"clustered": words(clusteredSpace(8, 30, 70))}
+	for seed := int64(1); seed <= 8; seed++ {
+		out[fmt.Sprintf("seed%d", seed)] = words(generatedSpace(seed))
+	}
+	var zeroDup []Vector
+	for i := 0; i < 11; i++ {
+		zeroDup = append(zeroDup, Vector{}, HashVector(fmt.Sprintf("zd-%d", i%4)), HashVector("zd-0"))
+	}
+	out["zeros-and-duplicates"] = zeroDup
+	out["all-zero"] = make([]Vector, 6)
+	for k := 1; k <= 9; k++ {
+		// k independent directions, each repeated and scaled, so the basis
+		// stops short of SketchDim.
+		var few []Vector
+		for i := 0; i < 3*k+1; i++ {
+			few = append(few, HashVector(fmt.Sprintf("few-%d", i%k)).Scale(float64(1+i%3)))
+		}
+		out[fmt.Sprintf("span%d", k)] = few
+	}
+	return out
+}
+
+// TestNewBasisBitIdentical pins NewBasis to its one-row, one-goroutine
+// reference: the same number of directions, each equal bit for bit.
+func TestNewBasisBitIdentical(t *testing.T) {
+	for name, vs := range kernelSamples() {
+		got, want := NewBasis(vs), refNewBasis(vs)
+		if len(got.dirs) != len(want.dirs) {
+			t.Fatalf("%s: %d directions, reference %d", name, len(got.dirs), len(want.dirs))
+		}
+		for d := range want.dirs {
+			for j := range want.dirs[d] {
+				if g, w := got.dirs[d][j], want.dirs[d][j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: direction %d component %d = %v, reference %v", name, d, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestSketchMultiChainBitIdentical pins Basis.sketch, which scores four
+// directions per pass, to the one-direction reference, for every basis
+// size from 0 to SketchDim (so every remainder of four), on matrix rows and
+// queries alike, zero vectors included.
+func TestSketchMultiChainBitIdentical(t *testing.T) {
+	for name, vs := range kernelSamples() {
+		full := NewBasis(vs)
+		for k := 0; k <= len(full.dirs); k++ {
+			b := &Basis{dirs: full.dirs[:k]}
+			m := NewMatrix(b, vs)
+			for i := range vs {
+				var sk [SketchDim]float64
+				q := b.Query(&vs[i])
+				resid := refSketch(b, q.comps[:], q.nv, sk[:])
+				where := fmt.Sprintf("%s dirs=%d vector %d", name, k, i)
+				checkSketch(t, where+" query", q.sk[:], q.resid, sk[:], resid)
+				checkSketch(t, where+" row", m.sk[i*SketchDim:(i+1)*SketchDim], m.resid[i], sk[:], resid)
+			}
+		}
+	}
+}
+
+func checkSketch(t *testing.T, where string, got []float64, gotResid float64, want []float64, wantResid float64) {
+	t.Helper()
+	if math.Float64bits(gotResid) != math.Float64bits(wantResid) {
+		t.Fatalf("%s: residual %v, reference %v", where, gotResid, wantResid)
+	}
+	for c := range want {
+		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+			t.Fatalf("%s: coordinate %d = %v, reference %v", where, c, got[c], want[c])
+		}
+	}
+}
+
+// TestBoundsBitIdentical pins the four-row bound kernel to bound: for row
+// counts 1 to 9 and every window a sweep can ask for — full groups of four
+// and the shorter tails before the sweep's end — each value equals bound's
+// bit for bit, so no skip decision of ArgMax, PrefixMaxFloor or EachAtLeast
+// can change.
+func TestBoundsBitIdentical(t *testing.T) {
+	for name, vs := range kernelSamples() {
+		b := NewBasis(vs)
+		for n := 1; n <= 9 && n <= len(vs); n++ {
+			m := NewMatrix(b, vs[:n])
+			for qi := range vs {
+				q := b.Query(&vs[qi])
+				for i := 0; i < n; i++ {
+					for end := i + 1; end <= n; end++ {
+						var ub [4]float64
+						got := m.bounds(&q, i, end, &ub)
+						if want := min(4, end-i); got != want {
+							t.Fatalf("%s rows=%d query %d: bounds(%d, %d) filled %d, want %d", name, n, qi, i, end, got, want)
+						}
+						for k := 0; k < got; k++ {
+							if w := m.bound(&q, i+k); math.Float64bits(ub[k]) != math.Float64bits(w) {
+								t.Fatalf("%s rows=%d query %d: bounds(%d, %d)[%d] = %v, bound %v", name, n, qi, i, end, k, ub[k], w)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -341,10 +566,10 @@ func TestSpaceIndexInvalidatedByAdd(t *testing.T) {
 		t.Fatalf("index not rebuilt after Add: Len %d", got)
 	}
 	pv2 := s.PhraseVectorCached("alpha beta")
-	if pv1 == pv2 {
+	if *pv1 == *pv2 {
 		t.Fatal("phrase memo not invalidated: cached vector survived vocabulary change")
 	}
-	if want := s.PhraseVector([]string{"alpha", "beta"}); pv2 != want {
+	if want := s.PhraseVector([]string{"alpha", "beta"}); *pv2 != want {
 		t.Fatal("cached phrase vector diverges from PhraseVector")
 	}
 }
@@ -398,7 +623,7 @@ func FuzzSketchBound(f *testing.F) {
 		b := NewBasis(vecs)
 		m := NewMatrix(b, vecs)
 		for _, qv := range vecs {
-			q := b.Query(qv)
+			q := b.Query(&qv)
 			for i := range vecs {
 				if bd, cos := m.bound(&q, i), m.Cosine(&q, i); bd+boundMargin < cos {
 					t.Fatalf("bound %v + margin < cosine %v (row %d)", bd, cos, i)

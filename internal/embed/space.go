@@ -26,8 +26,10 @@ type Space struct {
 	subwordOOV bool
 	// phrases memoizes PhraseVectorCached results (read-mostly: the matcher
 	// and refinement stages embed the same normalized phrases millions of
-	// times per pipeline). Invalidated by Add alongside the stem index.
-	phrases *cow.Map[string, Vector]
+	// times per pipeline). It holds pointers, so a hit and a snapshot merge
+	// copy 8 bytes, not a 1 KB Vector. Invalidated by Add alongside the stem
+	// index.
+	phrases *cow.Map[string, *Vector]
 	// index is the lazily built exact threshold index over the vocabulary,
 	// shared by all queriers; invalidated by Add.
 	idxMu sync.Mutex
@@ -39,7 +41,7 @@ func NewSpace() *Space {
 	return &Space{
 		vecs:       make(map[string]Vector),
 		subwordOOV: true,
-		phrases:    cow.New[string, Vector](),
+		phrases:    cow.New[string, *Vector](),
 	}
 }
 
@@ -134,21 +136,23 @@ func (s *Space) PhraseVector(words []string) Vector {
 
 // PhraseVectorCached returns PhraseVector of the space-separated phrase,
 // memoizing the result. The memo is read-mostly (a single atomic load on
-// hits) and is invalidated whenever the vocabulary changes.
-func (s *Space) PhraseVectorCached(phrase string) Vector {
-	if v, ok := s.phrases.Get(phrase); ok {
-		return v
-	}
+// hits) and is invalidated whenever the vocabulary changes. The returned
+// vector is shared by every caller and must not be modified; racing misses
+// on one phrase all get the one vector the memo stored.
+func (s *Space) PhraseVectorCached(phrase string) *Vector {
+	return s.phrases.GetOrCompute(phrase, s.phraseVector)
+}
+
+// phraseVector is the memo's compute function for PhraseVectorCached.
+func (s *Space) phraseVector(phrase string) *Vector {
 	v := s.PhraseVector(strings.Fields(phrase))
-	s.phrases.Put(phrase, v)
-	return v
+	return &v
 }
 
 // Similarity returns the cosine similarity between the embeddings of two
 // phrases given as space-separated normalized strings.
 func (s *Space) Similarity(a, b string) float64 {
-	va, vb := s.PhraseVectorCached(a), s.PhraseVectorCached(b)
-	return Cosine(va, vb)
+	return CosineAt(s.PhraseVectorCached(a), s.PhraseVectorCached(b))
 }
 
 // Neighbor is a vocabulary word with its similarity to a query.

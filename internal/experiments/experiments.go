@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"thor/internal/datagen"
+	"thor/internal/embed"
 	"thor/internal/eval"
+	"thor/internal/matcher"
 	"thor/internal/models"
 	"thor/internal/thor"
 )
@@ -26,7 +30,10 @@ type SystemResult struct {
 	Name string
 	// Tau is set for THOR rows, 0 otherwise.
 	Tau float64
-	// Measured is this implementation's wall-clock time.
+	// Measured is this implementation's wall-clock time. For THOR rows it
+	// is the median of coldRuns cold runs at the row's threshold (see
+	// coldTimes), not the time of the shared-cache run that produced the
+	// predictions.
 	Measured time.Duration
 	// Simulated is the cost-model estimate of the original system's
 	// GPU-era runtime (zero when the measured CPU time is the real cost).
@@ -75,10 +82,12 @@ func (c *Comparison) All() []SystemResult {
 	return append(out, c.Others...)
 }
 
-// runThor executes the pipeline at one threshold and evaluates it.
+// runThor executes the pipeline at one threshold through the shared
+// fine-tune and parse caches and evaluates it. It leaves Measured unset:
+// with the caches warm from earlier runs, its wall time says more about
+// run order than about the threshold (Compare times cold runs instead).
 func runThor(ds *datagen.Dataset, tau float64) SystemResult {
 	reg, tr := Instruments()
-	start := time.Now()
 	res, err := thor.Run(ds.TestTable(), ds.Space, ds.Test.Docs, thor.Config{
 		Tau:        tau,
 		Knowledge:  ds.Table,
@@ -91,7 +100,6 @@ func runThor(ds *datagen.Dataset, tau float64) SystemResult {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: THOR run failed: %v", err)) // datasets are well-formed by construction
 	}
-	elapsed := time.Since(start)
 	preds := make([]eval.Mention, 0, len(res.AllEntities()))
 	for _, e := range res.AllEntities() {
 		preds = append(preds, eval.Mention{Subject: e.Subject, Concept: e.Concept, Phrase: e.Phrase})
@@ -99,11 +107,60 @@ func runThor(ds *datagen.Dataset, tau float64) SystemResult {
 	return SystemResult{
 		Name:        fmt.Sprintf("THOR (τ=%.1f)", tau),
 		Tau:         tau,
-		Measured:    elapsed,
 		Report:      eval.Evaluate(preds, ds.Test.Gold),
 		Predictions: preds,
 		Stats:       res.Stats,
 	}
+}
+
+// coldRuns is the number of cold runs each THOR row's time is the median of.
+const coldRuns = 3
+
+// coldTimes times the pipeline at each threshold the way the paper's
+// separate per-τ runs do, and returns the median per threshold, in taus
+// order. Every run starts cold: a space decoded afresh from the dataset's
+// vectors (so no threshold index or phrase memo survives), a new fine-tune
+// cache and a new parse cache. A run is timed from fine-tuning to its last
+// document. Successive rounds visit the thresholds in alternating order, so
+// drift of the host lands on both ends of the sweep. The runs report into
+// no registry: the evaluated rows and their counters come from runThor.
+func coldTimes(ds *datagen.Dataset, taus []float64) []time.Duration {
+	var raw bytes.Buffer
+	if _, err := ds.Space.WriteTo(&raw); err != nil {
+		panic(fmt.Sprintf("experiments: encode space: %v", err))
+	}
+	runs := make([][]time.Duration, len(taus))
+	for round := 0; round < coldRuns; round++ {
+		for k := range taus {
+			i := k
+			if round%2 == 1 {
+				i = len(taus) - 1 - k
+			}
+			space, err := embed.ReadSpace(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				panic(fmt.Sprintf("experiments: decode space: %v", err))
+			}
+			table := ds.TestTable()
+			start := time.Now()
+			_, err = thor.Run(table, space, ds.Test.Docs, thor.Config{
+				Tau:        taus[i],
+				Knowledge:  ds.Table,
+				Lexicon:    ds.Lexicon,
+				TuneCache:  matcher.NewCache(),
+				ParseCache: thor.NewParseCache(),
+			})
+			if err != nil {
+				panic(fmt.Sprintf("experiments: cold THOR run failed: %v", err))
+			}
+			runs[i] = append(runs[i], time.Since(start))
+		}
+	}
+	med := make([]time.Duration, len(taus))
+	for i, r := range runs {
+		slices.Sort(r)
+		med[i] = r[len(r)/2]
+	}
+	return med
 }
 
 // runModel executes a comparator model and evaluates it.
@@ -134,11 +191,16 @@ func buildModels(ds *datagen.Dataset) []models.Model {
 
 // Compare runs the full system comparison on a dataset: the THOR τ sweep
 // plus all five comparators. It implements Experiment 1 (Disease A-Z) and
-// the system runs of Experiment 3 (Résumé).
+// the system runs of Experiment 3 (Résumé). THOR's predictions and counters
+// come from one sweep through the shared caches; its times are cold-run
+// medians (coldTimes).
 func Compare(ds *datagen.Dataset) *Comparison {
 	c := &Comparison{Dataset: ds}
 	for _, tau := range Taus {
 		c.Thor = append(c.Thor, runThor(ds, tau))
+	}
+	for i, d := range coldTimes(ds, Taus) {
+		c.Thor[i].Measured = d
 	}
 	tblWords := tableWords(ds)
 	trainWords := datagen.SplitStats(&ds.Train).Words

@@ -68,3 +68,18 @@ func BenchmarkColdFineTune(b *testing.B) {
 		}
 	}
 }
+
+// indexSink keeps the benchmarked index builds from being optimized away.
+var indexSink int
+
+// BenchmarkIndexBuild times the threshold index build that opens every cold
+// fine-tune: NewThresholdIndex over the Disease vocabulary, which sorts the
+// words, builds the pruning basis (embed.NewBasis) and flattens the
+// vocabulary into its sweep matrix.
+func BenchmarkIndexBuild(b *testing.B) {
+	ds := datagen.Disease(datagen.DiseaseSeed)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink += embed.NewThresholdIndex(ds.Space).Len()
+	}
+}

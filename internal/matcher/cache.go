@@ -43,14 +43,24 @@ type expandKey struct {
 	concept schema.Concept
 }
 
+// seedEntry holds one concept's shared seed cluster, built once by the
+// first fine-tune that asks for it; later askers wait on once instead of
+// the cache-wide lock, so different concepts build at the same time.
+type seedEntry struct {
+	once sync.Once
+	sh   *sharedSeeds
+}
+
 // expandEntry holds one concept's expansion lists, computed at tau (the
-// lowest threshold requested so far). Lists are immutable once stored;
+// lowest threshold requested so far) by the first fine-tune that reaches
+// the entry; later ones wait on listsOnce. Lists are immutable once stored;
 // higher-τ requests serve prefix subslices. The entry also owns the
 // generation's fitShare — the cross-τ head-fit profile built over exactly
 // these lists — created lazily by the first fine-tune that needs it.
 type expandEntry struct {
-	tau   float64
-	lists [][]embed.Neighbor
+	tau       float64
+	listsOnce sync.Once
+	lists     [][]embed.Neighbor
 
 	shareOnce sync.Once
 	share     *fitShare
@@ -70,8 +80,10 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*Matcher
 
+	// seedMu and expMu guard only the two maps; every entry is built
+	// outside them, once (see seedEntry and expandEntry).
 	seedMu sync.Mutex
-	seeds  map[seedKey]*sharedSeeds
+	seeds  map[seedKey]*seedEntry
 
 	expMu sync.Mutex
 	exps  map[expandKey]*expandEntry
@@ -88,7 +100,7 @@ type Cache struct {
 func NewCache() *Cache {
 	return &Cache{
 		entries: make(map[cacheKey]*Matcher),
-		seeds:   make(map[seedKey]*sharedSeeds),
+		seeds:   make(map[seedKey]*seedEntry),
 		exps:    make(map[expandKey]*expandEntry),
 		queries: make(map[*embed.ThresholdIndex]*cow.Map[string, *embed.Query]),
 	}
@@ -116,32 +128,41 @@ func (c *Cache) queriesFor(index *embed.ThresholdIndex) *cow.Map[string, *embed.
 func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, build func() *sharedSeeds) *sharedSeeds {
 	key := seedKey{index: index, table: table, concept: concept}
 	c.seedMu.Lock()
-	defer c.seedMu.Unlock()
-	if sh, ok := c.seeds[key]; ok {
-		return sh
+	e, ok := c.seeds[key]
+	if !ok {
+		e = &seedEntry{}
+		c.seeds[key] = e
 	}
-	sh := build()
-	c.seeds[key] = sh
-	return sh
+	c.seedMu.Unlock()
+	e.once.Do(func() { e.sh = build() })
+	return e.sh
 }
 
-// expansionFor returns the τ-expansion neighbor lists for a concept's seed
-// head words, one list per source in source order, shared across thresholds:
-// the sources are τ-independent, and the index returns neighbors sorted by
-// decreasing similarity, so the τ' ≥ τ result is exactly the prefix of the
-// τ result with Sim ≥ τ'. The cache stores lists at the lowest τ requested
-// so far and serves higher thresholds by prefix cut — bit-identical to a
-// direct retrieval at that threshold. A request below the stored τ
-// recomputes and replaces the entry (a superset of the old one).
-func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, tau float64, sources []Representative) [][]embed.Neighbor {
+// expansionFor returns the τ-expansion entry for a concept's seed head
+// words, shared across thresholds: the sources are τ-independent, and the
+// index returns neighbors sorted by decreasing similarity, so the τ' ≥ τ
+// result is exactly the prefix of the τ result with Sim ≥ τ'. The cache
+// keeps the entry for the lowest τ requested so far and serves higher
+// thresholds by prefix cut (listsAt) — bit-identical to a direct retrieval
+// at that threshold. A request below the stored τ replaces the entry with
+// a new one at its τ (a superset of the old one). The sources are the
+// concept's shared seed heads, the same for every caller of a key.
+func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, tau float64, sources []Representative) *expandEntry {
 	key := expandKey{index: index, table: table, concept: concept}
 	c.expMu.Lock()
-	defer c.expMu.Unlock()
 	e, ok := c.exps[key]
-	if !ok || tau < e.tau || len(e.lists) != len(sources) {
-		e = &expandEntry{tau: tau, lists: expansionLists(index, sources, tau)}
+	if !ok || tau < e.tau {
+		e = &expandEntry{tau: tau}
 		c.exps[key] = e
 	}
+	c.expMu.Unlock()
+	e.listsOnce.Do(func() { e.lists = expansionLists(index, sources, e.tau) })
+	return e
+}
+
+// listsAt returns the entry's lists cut to the neighbors with Sim ≥ tau,
+// which must be at least the entry's τ.
+func (e *expandEntry) listsAt(tau float64) [][]embed.Neighbor {
 	if tau == e.tau {
 		return e.lists
 	}
@@ -155,23 +176,14 @@ func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept 
 	return cut
 }
 
-// fitShareFor returns the concept's cross-τ fit-share, creating it over the
-// cached full expansion lists on first request. Callers must have populated
-// the expansion entry via expansionFor first (fineTune's order); the share
-// tracks that entry's generation, so matchers that fetched it stay exact even
-// if a later lower-τ request replaces the entry. heads must be the concept's
-// shared seed heads — identical for every caller of the same key by
-// construction.
-func (c *Cache) fitShareFor(index *embed.ThresholdIndex, space *embed.Space, table uint64, concept schema.Concept, heads []Representative) *fitShare {
-	key := expandKey{index: index, table: table, concept: concept}
-	c.expMu.Lock()
-	e := c.exps[key]
-	c.expMu.Unlock()
-	if e == nil {
-		return nil
-	}
+// fitShare returns the concept's cross-τ fit-share over this entry's full
+// lists, creating it on first request. The share belongs to the entry's
+// generation, so matchers that fetched it stay exact even after a later
+// lower-τ request replaces the entry. heads must be the concept's shared
+// seed heads — identical for every caller of the same key by construction.
+func (e *expandEntry) fitShare(space *embed.Space, basis *embed.Basis, heads []Representative) *fitShare {
 	e.shareOnce.Do(func() {
-		e.share = buildFitShare(space, index.Basis(), heads, e.lists)
+		e.share = buildFitShare(space, basis, heads, e.lists)
 	})
 	return e.share
 }

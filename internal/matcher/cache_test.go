@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"thor/internal/datagen"
@@ -92,11 +93,13 @@ func TestCacheReverseSweepFitEquivalence(t *testing.T) {
 }
 
 // TestFineTuneFanOutDeterministic checks that spreading fine-tune over every
-// core changes nothing: the Disease matcher built at GOMAXPROCS 1 and 4,
+// core changes nothing: the Disease matcher built at GOMAXPROCS 1, 2 and 4,
 // directly and through a fresh Cache, each over a freshly decoded space (so
 // the threshold index is rebuilt too), has identical representatives (order
 // and Via included), identical seeds, and bit-identical fit rows for every
-// seed head. Run it under -race to check the fan-out itself.
+// seed head. GOMAXPROCS 1 runs every fan-out serially on the caller, so the
+// parallel builds are checked against it. Run it under -race to check the
+// fan-out itself.
 func TestFineTuneFanOutDeterministic(t *testing.T) {
 	ds := datagen.Disease(datagen.DiseaseSeed)
 	var raw bytes.Buffer
@@ -106,7 +109,7 @@ func TestFineTuneFanOutDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := Config{Tau: 0.5, IncludeSubject: true}
 	var ref *Matcher
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, cached := range []bool{false, true} {
 			space, err := embed.ReadSpace(bytes.NewReader(raw.Bytes()))
@@ -128,6 +131,69 @@ func TestFineTuneFanOutDeterministic(t *testing.T) {
 			}
 			where := fmt.Sprintf("GOMAXPROCS=%d cached=%v", procs, cached)
 			checkSameFineTune(t, where, m, ref)
+		}
+	}
+}
+
+// TestCacheConcurrentFineTune shares one Cache among goroutines that each
+// fine-tune the Disease matcher over the six thresholds of a sweep in a
+// different order, all starting at once on a freshly decoded space. The
+// orders put lower thresholds after higher ones, so expansion entries are
+// replaced while other goroutines read them, and concepts build their seed
+// and expansion entries concurrently. Every matcher must equal a sequential,
+// uncached fine-tune at its threshold. Run it under -race.
+func TestCacheConcurrentFineTune(t *testing.T) {
+	ds := datagen.Disease(datagen.DiseaseSeed)
+	var raw bytes.Buffer
+	if _, err := ds.Space.WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	space, err := embed.ReadSpace(bytes.NewReader(raw.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := [][]float64{
+		{1.0, 0.9, 0.8, 0.7, 0.6, 0.5},
+		{0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+		{0.8, 1.0, 0.6, 0.9, 0.5, 0.7},
+		{0.7, 0.5, 0.9, 0.6, 1.0, 0.8},
+	}
+	cache := NewCache()
+	got := make([][]*Matcher, len(orders))
+	errs := make([]error, len(orders))
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g, order := range orders {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			for _, tau := range order {
+				m, err := cache.FineTune(space, ds.Table, Config{Tau: tau, IncludeSubject: true})
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], m)
+			}
+		}()
+	}
+	start.Done()
+	done.Wait()
+	want := make(map[float64]*Matcher)
+	for _, tau := range orders[0] {
+		m, err := FineTune(space, ds.Table, Config{Tau: tau, IncludeSubject: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tau] = m
+	}
+	for g, order := range orders {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, tau := range order {
+			checkSameFineTune(t, fmt.Sprintf("goroutine %d τ=%.1f", g, tau), got[g][i], want[tau])
 		}
 	}
 }

@@ -33,15 +33,21 @@
 // atomic load per hit under the pipeline's parallel document workers. Match
 // looks up the best seed c_m only for the candidates it keeps.
 //
-// Fine-tuning uses every core itself: the per-seed-head expansion
-// retrievals, the warm fit rows of the seed heads and the rows of every
-// matrix it builds fan out over GOMAXPROCS goroutines (package par). In a
-// threshold sweep no document worker has started yet. In thord a live-table
-// swap fine-tunes the next version while request workers keep serving the
-// current one, so the two share the cores; the benchmark's churn workload,
-// which swaps every 250 ms, showed no fill-latency regression from it.
+// Fine-tuning uses every core itself: the concepts tune concurrently, one
+// per iteration, and inside each the per-seed-head expansion retrievals and
+// the rows of every matrix it builds fan out again; the warm fit rows of
+// the seed heads follow (package par). Clusters join the matcher in schema
+// order whatever the schedule. In a threshold sweep no document worker has
+// started yet. In thord a live-table swap fine-tunes the next version while
+// request workers keep serving the current one, so the two share the cores;
+// the benchmark's churn workload, which swaps every 250 ms, showed no
+// fill-latency regression from it.
 //
 // A Cache shares the τ-independent parts of a threshold sweep — seed
 // clusters, expansion lists, fit-share profiles and subphrase queries — so a
-// head whose fit profile is cached costs a lookup, not a sweep query.
+// head whose fit profile is cached costs a lookup, not a sweep query. Its
+// locks guard only the maps: each seed cluster and expansion entry is built
+// once, outside them, by the first fine-tune that asks (one sync.Once per
+// entry), so concurrent concepts and concurrent fine-tunes never wait on
+// one another's builds, only on the entry they need.
 package matcher

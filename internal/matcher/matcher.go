@@ -150,7 +150,7 @@ func buildSeedCluster(space *embed.Space, basis *embed.Basis, instances []string
 		if vec.Zero() {
 			continue
 		}
-		sh.seeds = append(sh.seeds, Representative{Phrase: norm, Vector: vec, Seed: true})
+		sh.seeds = append(sh.seeds, Representative{Phrase: norm, Vector: *vec, Seed: true})
 		// Only the instance's lexical head joins the matchable word set:
 		// matching is head-to-head, and admitting modifier words
 		// ("follow-up", "severe") as representatives would let modifier
@@ -176,7 +176,9 @@ func FineTune(space *embed.Space, table *schema.Table, cfg Config) (*Matcher, er
 }
 
 // fineTune is FineTune with an optional cache supplying shared τ-independent
-// seed clusters.
+// seed clusters. The concepts are tuned on every core, one concept per
+// iteration, and their clusters then join the matcher in schema order, so
+// the result does not depend on the schedule.
 func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache) (*Matcher, error) {
 	if space == nil || table == nil {
 		return nil, fmt.Errorf("matcher: nil space or table")
@@ -197,46 +199,19 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 		// Sweep queries are τ-independent; share one memo across the sweep.
 		m.subQueries = cache.queriesFor(idx)
 	}
-	for _, c := range table.Schema.Concepts {
-		if c == table.Schema.Subject && !cfg.IncludeSubject {
-			continue
+	concepts := table.Schema.Concepts
+	clusters := make([]*conceptCluster, len(concepts))
+	par.For(len(concepts), func(i int) {
+		if c := concepts[i]; c != table.Schema.Subject || cfg.IncludeSubject {
+			clusters[i] = m.tuneConcept(idx, table, c, cache)
 		}
-		build := func() *sharedSeeds { return buildSeedCluster(space, m.basis, table.ColumnValues(c)) }
-		var sh *sharedSeeds
-		var fp uint64
-		if cache != nil {
-			// Per-concept keying: the shared seeds, expansion lists and fit
-			// profile are pure functions of THIS concept's instance set, so
-			// they key on its column fingerprint rather than the whole
-			// table's. A live-table mutation that leaves a concept's column
-			// untouched then re-fine-tunes through warm entries for it —
-			// only the mutated concepts rebuild.
-			fp = table.ConceptFingerprint(c)
-			sh = cache.seedsFor(idx, fp, c, build)
-		} else {
-			sh = build()
+	})
+	for _, cl := range clusters {
+		if cl == nil {
+			continue // skipped, or no usable seeds: the concept cannot be matched
 		}
-		if len(sh.seeds) == 0 {
-			continue // no usable seeds: the concept cannot be matched
-		}
-		cluster := &conceptCluster{
-			concept:  c,
-			seeds:    sh.seeds,
-			words:    append([]Representative(nil), sh.heads...),
-			seedMat:  sh.mat,
-			seedMemo: sh.memo,
-		}
-		if !cfg.DisableExpansion {
-			expandCluster(idx, space, cluster, cfg.Tau, cache, fp)
-			if cache != nil {
-				if share := cache.fitShareFor(idx, space, fp, c, sh.heads); share != nil {
-					cluster.share = share
-					cluster.cut = share.cutAt(cfg.Tau)
-				}
-			}
-		}
-		m.clusters = append(m.clusters, cluster)
-		m.byConcept[c] = cluster
+		m.clusters = append(m.clusters, cl)
+		m.byConcept[cl.concept] = cl
 	}
 	if len(m.clusters) == 0 {
 		return nil, fmt.Errorf("matcher: no concept has usable seed instances")
@@ -247,29 +222,74 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 	return m, nil
 }
 
+// tuneConcept fine-tunes one concept's cluster, or returns nil when the
+// concept has no usable seed instance. It reads only the matcher's space,
+// basis and configuration, so concepts tune concurrently.
+func (m *Matcher) tuneConcept(idx *embed.ThresholdIndex, table *schema.Table, c schema.Concept, cache *Cache) *conceptCluster {
+	build := func() *sharedSeeds { return buildSeedCluster(m.space, m.basis, table.ColumnValues(c)) }
+	var sh *sharedSeeds
+	var fp uint64
+	if cache != nil {
+		// Per-concept keying: the shared seeds, expansion lists and fit
+		// profile are pure functions of THIS concept's instance set, so
+		// they key on its column fingerprint rather than the whole
+		// table's. A live-table mutation that leaves a concept's column
+		// untouched then re-fine-tunes through warm entries for it —
+		// only the mutated concepts rebuild.
+		fp = table.ConceptFingerprint(c)
+		sh = cache.seedsFor(idx, fp, c, build)
+	} else {
+		sh = build()
+	}
+	if len(sh.seeds) == 0 {
+		return nil
+	}
+	cluster := &conceptCluster{
+		concept:  c,
+		seeds:    sh.seeds,
+		words:    append([]Representative(nil), sh.heads...),
+		seedMat:  sh.mat,
+		seedMemo: sh.memo,
+	}
+	if !m.cfg.DisableExpansion {
+		var exp *expandEntry
+		if cache != nil {
+			exp = cache.expansionFor(idx, fp, c, m.cfg.Tau, sh.heads)
+		}
+		expandCluster(idx, m.space, cluster, m.cfg.Tau, exp)
+		if exp != nil {
+			cluster.share = exp.fitShare(m.space, m.basis, sh.heads)
+			cluster.cut = cluster.share.cutAt(m.cfg.Tau)
+		}
+	}
+	return cluster
+}
+
 // expandCluster adds vocabulary words similar to any seed word (cosine ≥
 // tau) as non-seed representatives — the weak-supervision "fine-tuning"
 // step. Lower τ expands further into the embedding neighborhood. Retrieval
 // goes through the space's threshold index, whose results are identical to
 // brute-force Space.Neighbors scans (the sketch bound screens, exact cosine
-// verifies). With a cache, the per-source neighbor lists are shared
-// across the whole τ sweep (see Cache.expansionFor): the sources — the seed
-// head words — are τ-independent, and a higher-τ list is an exact prefix of
-// a lower-τ list, so one retrieval pass serves every threshold bit-identically.
-func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conceptCluster, tau float64, cache *Cache, fp uint64) {
-	sources := make([]Representative, len(cluster.words))
-	copy(sources, cluster.words)
+// verifies). With a cache entry exp, the per-source neighbor lists are
+// shared across the whole τ sweep (see Cache.expansionFor): the sources —
+// the seed head words — are τ-independent, and a higher-τ list is an exact
+// prefix of a lower-τ list, so one retrieval pass serves every threshold
+// bit-identically.
+func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conceptCluster, tau float64, exp *expandEntry) {
+	// The sources are the seed heads the cluster starts with; appending to
+	// cluster.words never rewrites them, so they need no copy.
+	sources := cluster.words
 	seen := make(map[string]bool, len(sources))
 	for i := range sources {
 		seen[sources[i].Phrase] = true
 	}
 	var lists [][]embed.Neighbor
-	if cache != nil {
-		lists = cache.expansionFor(idx, fp, cluster.concept, tau, sources)
+	if exp != nil {
+		lists = exp.listsAt(tau)
 	} else {
 		lists = expansionLists(idx, sources, tau)
 	}
-	for si, src := range sources {
+	for si := range sources {
 		for _, nb := range lists[si] {
 			if seen[nb.Word] {
 				continue
@@ -278,7 +298,7 @@ func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conce
 			cluster.words = append(cluster.words, Representative{
 				Phrase: nb.Word,
 				Vector: space.Lookup(nb.Word),
-				Via:    src.Phrase,
+				Via:    sources[si].Phrase,
 			})
 		}
 	}
@@ -291,7 +311,7 @@ func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conce
 func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau float64) [][]embed.Neighbor {
 	lists := make([][]embed.Neighbor, len(sources))
 	par.For(len(sources), func(i int) {
-		q := idx.Query(sources[i].Vector)
+		q := idx.Query(&sources[i].Vector)
 		lists[i] = idx.NeighborsQuery(&q, tau)
 	})
 	return lists
@@ -386,7 +406,7 @@ type headQuery struct {
 
 func (h *headQuery) query() *embed.Query {
 	if !h.built {
-		h.q, h.built = h.basis.Query(*h.v), true
+		h.q, h.built = h.basis.Query(h.v), true
 	}
 	return &h.q
 }

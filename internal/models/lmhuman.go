@@ -99,7 +99,7 @@ func NewLMHuman(train []eval.Mention, trainDocs []segment.Document, space *embed
 			continue
 		}
 		idx := len(m.examples)
-		m.examples = append(m.examples, trainExample{phrase: g.Phrase, concept: g.Concept, vec: vec})
+		m.examples = append(m.examples, trainExample{phrase: g.Phrase, concept: g.Concept, vec: *vec})
 		patterns = append(patterns, g.Phrase)
 		if h := headOf(g.Phrase); h != "" {
 			m.headIndex[h] = append(m.headIndex[h], idx)

@@ -71,7 +71,7 @@ func (si *sparsityInstruments) conceptIndex(c schema.Concept) int {
 
 // observeScore records one merged entity's combined assignment score under
 // its concept. No-op without a registry.
-func (si *sparsityInstruments) observeScore(e Entity) {
+func (si *sparsityInstruments) observeScore(e *Entity) {
 	if si.concepts == nil {
 		return
 	}

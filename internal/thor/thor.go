@@ -292,11 +292,12 @@ type DocResult struct {
 func MergeEntities(docs []DocResult) map[string][]Entity {
 	out := make(map[string][]Entity)
 	for _, d := range docs {
-		for _, e := range d.Entities {
+		for i := range d.Entities {
+			e := &d.Entities[i]
 			if hasEntity(out[e.Subject], e) {
 				continue
 			}
-			out[e.Subject] = append(out[e.Subject], e)
+			out[e.Subject] = append(out[e.Subject], *e)
 		}
 	}
 	return out
@@ -721,11 +722,12 @@ func (p *Pipeline) RunContextOpts(ctx context.Context, docs []segment.Document, 
 				Stages:     o.stages.stats(),
 			})
 		}
-		for _, e := range o.entities {
+		for i := range o.entities {
+			e := &o.entities[i]
 			if hasEntity(res.Entities[e.Subject], e) {
 				continue
 			}
-			res.Entities[e.Subject] = append(res.Entities[e.Subject], e)
+			res.Entities[e.Subject] = append(res.Entities[e.Subject], *e)
 			res.Stats.Entities++
 			p.spars.observeScore(e)
 		}
@@ -1133,9 +1135,12 @@ func combine(e Entity, sem, jac, ges bool) float64 {
 	return sum / float64(n)
 }
 
-func hasEntity(es []Entity, e Entity) bool {
-	for _, x := range es {
-		if x.Phrase == e.Phrase && x.Concept == e.Concept {
+// hasEntity reports whether es already holds e's (phrase, concept) pair. It
+// compares in place: the merges call it once per entity against every
+// entity kept so far for the subject.
+func hasEntity(es []Entity, e *Entity) bool {
+	for i := range es {
+		if es[i].Phrase == e.Phrase && es[i].Concept == e.Concept {
 			return true
 		}
 	}
