@@ -97,10 +97,6 @@ func TestSpaceLookupAndFallback(t *testing.T) {
 	if s.Lookup("unknownword").Zero() {
 		t.Error("OOV lookup should use subword fallback")
 	}
-	s.SetSubwordFallback(false)
-	if !s.Lookup("unknownword").Zero() {
-		t.Error("OOV lookup should be zero with fallback disabled")
-	}
 }
 
 func TestPhraseVectorMean(t *testing.T) {
@@ -203,11 +199,6 @@ func TestLookupStemFallback(t *testing.T) {
 	s.Add("scar", v2)
 	if got := s.Lookup("scarring"); got != v2 {
 		t.Error("stem index not rebuilt after Add")
-	}
-	// Disabled fallback: zero vector.
-	s.SetSubwordFallback(false)
-	if !s.Lookup("cancers").Zero() {
-		t.Error("fallback disabled but stem lookup still fired")
 	}
 }
 

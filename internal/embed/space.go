@@ -21,9 +21,6 @@ type Space struct {
 	// readers stay safe.
 	stemMu sync.Mutex
 	stems  map[string]string
-	// subwordOOV controls whether Lookup falls back to stem resolution and
-	// subword hashing for unknown words (on by default).
-	subwordOOV bool
 	// phrases memoizes PhraseVectorCached results (read-mostly: the matcher
 	// and refinement stages embed the same normalized phrases millions of
 	// times per pipeline). It holds pointers, so a hit and a snapshot merge
@@ -36,19 +33,13 @@ type Space struct {
 	index *ThresholdIndex
 }
 
-// NewSpace returns an empty Space with subword fallback enabled.
+// NewSpace returns an empty Space.
 func NewSpace() *Space {
 	return &Space{
-		vecs:       make(map[string]Vector),
-		subwordOOV: true,
-		phrases:    cow.New[string, *Vector](),
+		vecs:    make(map[string]Vector),
+		phrases: cow.New[string, *Vector](),
 	}
 }
-
-// SetSubwordFallback toggles the OOV subword fallback. Disabling it makes
-// Lookup return the zero vector for unknown words, which is useful in
-// ablation experiments.
-func (s *Space) SetSubwordFallback(on bool) { s.subwordOOV = on }
 
 // Add inserts (or replaces) the vector for a word. Words are stored
 // lower-cased. Adding invalidates the lazy stem index, the phrase-vector
@@ -76,15 +67,11 @@ func (s *Space) Contains(word string) bool {
 
 // Lookup returns the vector for a word. Unknown words fall back, in order,
 // to (1) a stored vocabulary word sharing their Porter stem ("cancerous" →
-// "cancer") and (2) subword hashing, when the fallback is enabled; otherwise
-// to the zero vector.
+// "cancer") and (2) subword hashing.
 func (s *Space) Lookup(word string) Vector {
 	w := strings.ToLower(word)
 	if v, ok := s.vecs[w]; ok {
 		return v
-	}
-	if !s.subwordOOV {
-		return Vector{}
 	}
 	if v, ok := s.stemLookup(w); ok {
 		return v

@@ -190,12 +190,10 @@ func (e *expandEntry) fitShare(space *embed.Space, basis *embed.Basis, heads []R
 
 // FineTune returns the cached matcher for (space, table content, cfg),
 // fine-tuning and storing one on the first request. Errors are not cached.
+// A nil Cache fine-tunes through a private one, as FineTune does.
 func (c *Cache) FineTune(space *embed.Space, table *schema.Table, cfg Config) (*Matcher, error) {
-	if c == nil {
-		return FineTune(space, table, cfg)
-	}
-	if space == nil || table == nil {
-		return FineTune(space, table, cfg) // let FineTune report the error
+	if c == nil || space == nil || table == nil {
+		return FineTune(space, table, cfg) // a private cache; FineTune reports nil inputs
 	}
 	key := cacheKey{index: space.Index(), table: table.Fingerprint(), cfg: cfg}
 	c.mu.Lock()

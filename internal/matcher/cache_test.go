@@ -140,8 +140,10 @@ func TestFineTuneFanOutDeterministic(t *testing.T) {
 // different order, all starting at once on a freshly decoded space. The
 // orders put lower thresholds after higher ones, so expansion entries are
 // replaced while other goroutines read them, and concepts build their seed
-// and expansion entries concurrently. Every matcher must equal a sequential,
-// uncached fine-tune at its threshold. Run it under -race.
+// and expansion entries concurrently. Each order also runs seeds-only
+// (DisableExpansion), so the seed clusters' heads-only fit profiles are built
+// and read concurrently too. Every matcher must equal a sequential,
+// uncached fine-tune at its configuration. Run it under -race.
 func TestCacheConcurrentFineTune(t *testing.T) {
 	ds := datagen.Disease(datagen.DiseaseSeed)
 	var raw bytes.Buffer
@@ -159,17 +161,20 @@ func TestCacheConcurrentFineTune(t *testing.T) {
 		{0.7, 0.5, 0.9, 0.6, 1.0, 0.8},
 	}
 	cache := NewCache()
-	got := make([][]*Matcher, len(orders))
-	errs := make([]error, len(orders))
+	cfgAt := func(g int, tau float64) Config {
+		return Config{Tau: tau, IncludeSubject: true, DisableExpansion: g >= len(orders)}
+	}
+	got := make([][]*Matcher, 2*len(orders))
+	errs := make([]error, len(got))
 	var start, done sync.WaitGroup
 	start.Add(1)
-	for g, order := range orders {
+	for g := range got {
 		done.Add(1)
 		go func() {
 			defer done.Done()
 			start.Wait()
-			for _, tau := range order {
-				m, err := cache.FineTune(space, ds.Table, Config{Tau: tau, IncludeSubject: true})
+			for _, tau := range orders[g%len(orders)] {
+				m, err := cache.FineTune(space, ds.Table, cfgAt(g, tau))
 				if err != nil {
 					errs[g] = err
 					return
@@ -180,20 +185,26 @@ func TestCacheConcurrentFineTune(t *testing.T) {
 	}
 	start.Done()
 	done.Wait()
-	want := make(map[float64]*Matcher)
-	for _, tau := range orders[0] {
-		m, err := FineTune(space, ds.Table, Config{Tau: tau, IncludeSubject: true})
-		if err != nil {
-			t.Fatal(err)
+	want := make(map[Config]*Matcher)
+	for g := range got {
+		for _, tau := range orders[g%len(orders)] {
+			if cfg := cfgAt(g, tau); want[cfg] == nil {
+				m, err := FineTune(space, ds.Table, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[cfg] = m
+			}
 		}
-		want[tau] = m
 	}
-	for g, order := range orders {
+	for g := range got {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		for i, tau := range order {
-			checkSameFineTune(t, fmt.Sprintf("goroutine %d τ=%.1f", g, tau), got[g][i], want[tau])
+		for i, tau := range orders[g%len(orders)] {
+			cfg := cfgAt(g, tau)
+			where := fmt.Sprintf("goroutine %d τ=%.1f seeds-only=%v", g, tau, cfg.DisableExpansion)
+			checkSameFineTune(t, where, got[g][i], want[cfg])
 		}
 	}
 }

@@ -20,16 +20,17 @@
 //
 // Matching is the pipeline's hot path, so the matcher is built around
 // precomputed structures whose results are bit-for-bit identical to the
-// brute-force definitions above. Each cluster's seed and word vectors are
-// flattened into contiguous embed.Matrix slabs at FineTune time, so head-fit
-// and best-seed sweeps are cache-friendly dot products with precomputed
-// norms and conservative-bound pruning; the rows that pass the bound are
-// scored four at a time, each with its own accumulator. Head-fit sweeps
-// start just below the acceptance floor, so the bound skips nearly every row
-// of a head that cannot be accepted. τ-expansion runs through the space's
-// shared ThresholdIndex, one bound-screened sweep of the vocabulary whose
-// results equal a brute scan. Head fits, subphrase queries, and best seeds
-// are memoized in read-mostly copy-on-write maps (package cow) that cost one
+// brute-force definitions above. Each concept's seed vectors, and its seed
+// heads and expansion words in cross-τ fit-profile order, are flattened into
+// contiguous embed.Matrix slabs at FineTune time, so head-fit and best-seed
+// sweeps are cache-friendly dot products with precomputed norms and
+// conservative-bound pruning; the rows that pass the bound are scored four
+// at a time, each with its own accumulator. Head-fit sweeps start just below
+// the acceptance floor, so the bound skips nearly every row of a head that
+// cannot be accepted. τ-expansion runs through the space's shared
+// ThresholdIndex, one bound-screened sweep of the vocabulary whose results
+// equal a brute scan. Head fits, subphrase queries, and best seeds are
+// memoized in read-mostly copy-on-write maps (package cow) that cost one
 // atomic load per hit under the pipeline's parallel document workers. Match
 // looks up the best seed c_m only for the candidates it keeps.
 //
@@ -45,9 +46,11 @@
 //
 // A Cache shares the τ-independent parts of a threshold sweep — seed
 // clusters, expansion lists, fit-share profiles and subphrase queries — so a
-// head whose fit profile is cached costs a lookup, not a sweep query. Its
-// locks guard only the maps: each seed cluster and expansion entry is built
-// once, outside them, by the first fine-tune that asks (one sync.Once per
-// entry), so concurrent concepts and concurrent fine-tunes never wait on
-// one another's builds, only on the entry they need.
+// head whose fit profile is cached costs a lookup, not a sweep query.
+// FineTune without a cache tunes through a private one, so every fit comes
+// from a fit-share profile. The cache's locks guard only the maps: each seed
+// cluster and expansion entry is built once, outside them, by the first
+// fine-tune that asks (one sync.Once per entry), so concurrent concepts and
+// concurrent fine-tunes never wait on one another's builds, only on the
+// entry they need.
 package matcher

@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,10 +17,10 @@ import (
 
 // This file holds the equivalence property tests: the optimized matcher —
 // threshold-index retrieval, SoA matrices with sketch-bound pruning,
-// floor-initialized fit sweeps, copy-on-write memos, shared seed clusters —
-// must produce *bit-for-bit* the same fine-tuned clusters and the same Match
-// candidates (order included) as a plain brute-force implementation built
-// from CosineAt and full-vocabulary scans.
+// floor-initialized cross-τ fit profiles, copy-on-write memos, shared seed
+// clusters — must produce *bit-for-bit* the same fine-tuned clusters and the
+// same Match candidates (order included) as a plain brute-force
+// implementation built from CosineAt and full-vocabulary scans.
 
 // bruteCluster is the reference fine-tuned model for one concept.
 type bruteCluster struct {
@@ -125,7 +126,7 @@ func bruteMatch(space *embed.Space, clusters []*bruteCluster, cfg Config, p phra
 			continue
 		}
 		seen[key] = true
-		if perConcept[cand.Concept] >= cfg.maxPerPhrase() {
+		if perConcept[cand.Concept] >= maxPerPhrase {
 			continue
 		}
 		perConcept[cand.Concept]++
@@ -177,81 +178,87 @@ func sameRep(a, b Representative) bool {
 	return a.Phrase == b.Phrase && a.Seed == b.Seed && a.Via == b.Via && a.Vector == b.Vector
 }
 
-func checkClusterEquivalence(t *testing.T, m *Matcher, ref []*bruteCluster, tau float64) {
+func checkClusterEquivalence(t *testing.T, m *Matcher, ref []*bruteCluster, where string) {
 	t.Helper()
 	concepts := m.Concepts()
 	if len(concepts) != len(ref) {
-		t.Fatalf("τ=%.1f: %d concepts, reference has %d", tau, len(concepts), len(ref))
+		t.Fatalf("%s: %d concepts, reference has %d", where, len(concepts), len(ref))
 	}
 	for i, cl := range ref {
 		if concepts[i] != cl.concept {
-			t.Fatalf("τ=%.1f: concept[%d] = %q, reference %q", tau, i, concepts[i], cl.concept)
+			t.Fatalf("%s: concept[%d] = %q, reference %q", where, i, concepts[i], cl.concept)
 		}
 		seeds, words := m.Seeds(cl.concept), m.Representatives(cl.concept)
 		if len(seeds) != len(cl.seeds) || len(words) != len(cl.words) {
-			t.Fatalf("τ=%.1f %s: %d seeds / %d words, reference %d / %d",
-				tau, cl.concept, len(seeds), len(words), len(cl.seeds), len(cl.words))
+			t.Fatalf("%s %s: %d seeds / %d words, reference %d / %d",
+				where, cl.concept, len(seeds), len(words), len(cl.seeds), len(cl.words))
 		}
 		for j := range seeds {
 			if !sameRep(seeds[j], cl.seeds[j]) {
-				t.Fatalf("τ=%.1f %s: seed[%d] = %+v, reference %+v", tau, cl.concept, j, seeds[j], cl.seeds[j])
+				t.Fatalf("%s %s: seed[%d] = %+v, reference %+v", where, cl.concept, j, seeds[j], cl.seeds[j])
 			}
 		}
 		for j := range words {
 			if !sameRep(words[j], cl.words[j]) {
-				t.Fatalf("τ=%.1f %s: word[%d] = %q via %q, reference %q via %q",
-					tau, cl.concept, j, words[j].Phrase, words[j].Via, cl.words[j].Phrase, cl.words[j].Via)
+				t.Fatalf("%s %s: word[%d] = %q via %q, reference %q via %q",
+					where, cl.concept, j, words[j].Phrase, words[j].Via, cl.words[j].Phrase, cl.words[j].Via)
 			}
 		}
 	}
 }
 
-func checkMatchEquivalence(t *testing.T, got, want []Candidate, tau float64, p phrase.Phrase) {
+func checkMatchEquivalence(t *testing.T, got, want []Candidate, where string, p phrase.Phrase) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("τ=%.1f %q: %d candidates, reference %d\n got: %+v\nwant: %+v",
-			tau, p.Text(), len(got), len(want), got, want)
+		t.Fatalf("%s %q: %d candidates, reference %d\n got: %+v\nwant: %+v",
+			where, p.Text(), len(got), len(want), got, want)
 	}
 	for i := range got {
 		g, w := got[i], want[i]
 		if g.Phrase != w.Phrase || g.Concept != w.Concept || g.Matched != w.Matched ||
 			math.Float64bits(g.Sim) != math.Float64bits(w.Sim) {
-			t.Fatalf("τ=%.1f %q: candidate[%d] = %+v, reference %+v", tau, p.Text(), i, g, w)
+			t.Fatalf("%s %q: candidate[%d] = %+v, reference %+v", where, p.Text(), i, g, w)
 		}
 	}
 }
 
-// equivalenceTaus is the ISSUE's sweep: every τ the experiments run at.
+// equivalenceTaus is every τ the experiments run at.
 var equivalenceTaus = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
+// runEquivalence sweeps every τ with τ-expansion on and off (the seeds-only
+// ablation fits through a heads-only profile), each through a private and
+// a sweep-shared cache, against the brute-force reference.
 func runEquivalence(t *testing.T, ds *datagen.Dataset, maxDocs int) {
 	phrases := corpusPhrases(ds, maxDocs)
 	if len(phrases) < 20 {
 		t.Fatalf("only %d corpus phrases — corpus too small to be meaningful", len(phrases))
 	}
 	cache := NewCache()
-	for _, tau := range equivalenceTaus {
-		cfg := Config{Tau: tau}
-		ref := bruteFineTune(ds.Space, ds.Table, cfg)
-		m, err := FineTune(ds.Space, ds.Table, cfg)
-		if err != nil {
-			t.Fatalf("τ=%.1f: FineTune: %v", tau, err)
-		}
-		cached, err := cache.FineTune(ds.Space, ds.Table, cfg)
-		if err != nil {
-			t.Fatalf("τ=%.1f: Cache.FineTune: %v", tau, err)
-		}
-		checkClusterEquivalence(t, m, ref, tau)
-		checkClusterEquivalence(t, cached, ref, tau)
-		ctx := m.NewContext()
-		for _, p := range phrases {
-			want := bruteMatch(ds.Space, ref, cfg, p)
-			checkMatchEquivalence(t, ctx.Match(p), want, tau, p)
-			// Pooled-context path, with every memo now warm.
-			checkMatchEquivalence(t, m.Match(p), want, tau, p)
-			// The cache-shared matcher (shared seed clusters and memos
-			// across the τ sweep) must agree too.
-			checkMatchEquivalence(t, cached.Match(p), want, tau, p)
+	for _, seedsOnly := range []bool{false, true} {
+		for _, tau := range equivalenceTaus {
+			cfg := Config{Tau: tau, DisableExpansion: seedsOnly}
+			where := fmt.Sprintf("τ=%.1f seeds-only=%v", tau, seedsOnly)
+			ref := bruteFineTune(ds.Space, ds.Table, cfg)
+			m, err := FineTune(ds.Space, ds.Table, cfg)
+			if err != nil {
+				t.Fatalf("%s: FineTune: %v", where, err)
+			}
+			cached, err := cache.FineTune(ds.Space, ds.Table, cfg)
+			if err != nil {
+				t.Fatalf("%s: Cache.FineTune: %v", where, err)
+			}
+			checkClusterEquivalence(t, m, ref, where)
+			checkClusterEquivalence(t, cached, ref, where)
+			ctx := m.NewContext()
+			for _, p := range phrases {
+				want := bruteMatch(ds.Space, ref, cfg, p)
+				checkMatchEquivalence(t, ctx.Match(p), want, where, p)
+				// Pooled-context path, with every memo now warm.
+				checkMatchEquivalence(t, m.Match(p), want, where, p)
+				// The cache-shared matcher (shared seed clusters and memos
+				// across the τ sweep) must agree too.
+				checkMatchEquivalence(t, cached.Match(p), want, where, p)
+			}
 		}
 	}
 }
@@ -259,7 +266,7 @@ func runEquivalence(t *testing.T, ds *datagen.Dataset, maxDocs int) {
 // TestEquivalenceDisease asserts, on the Disease A-Z dataset, that indexed
 // τ-expansion and pruned head-fit sweeps reproduce the brute-force matcher
 // exactly — candidates, similarities and ordering included — at every τ the
-// experiments use.
+// experiments use, with and without expansion.
 func TestEquivalenceDisease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute-force sweeps are slow")

@@ -31,7 +31,8 @@ import (
 // lowers the cached τ and recomputes longer lists, the new entry carries a
 // new share, while matchers built against the old generation keep theirs
 // (still exact for their thresholds — a τ-cut names the same word set on
-// either generation).
+// either generation). The seeds-only share has no expansion rows and
+// belongs to the concept's shared seed cluster.
 type fitShare struct {
 	// headMat holds the seed-head vectors (the τ-independent prefix of the
 	// cluster's word list).
@@ -48,7 +49,7 @@ type fitShare struct {
 }
 
 // buildFitShare constructs the shared fit model from the concept's seed heads
-// and its full cached expansion lists.
+// and its full cached expansion lists; nil lists give the seeds-only profile.
 func buildFitShare(space *embed.Space, basis *embed.Basis, heads []Representative, lists [][]embed.Neighbor) *fitShare {
 	s := &fitShare{prof: cow.New[string, []float64]()}
 	hv := make([]embed.Vector, len(heads))
@@ -94,11 +95,10 @@ func (s *fitShare) cutAt(tau float64) int {
 // max(seed-head maximum, prefix maximum at cut). The head's fit profile is
 // memoized per head across the whole sweep; hq must hold the head's
 // (non-zero) vector, and its query is built only when the profile is missing.
-// The profile sweep starts at the largest float64 below the acceptance floor
-// — the same starting point the per-τ sweeps use — so sub-floor maxima come
-// back clamped (they are consumed only through the `fit < floor` rejection
-// test) while above-floor maxima are exact, and the sketch bound skips
-// nearly every sub-floor row.
+// The profile sweep starts at the largest float64 below the acceptance floor,
+// so sub-floor maxima come back clamped (they are consumed only through the
+// `fit < floor` rejection test) while above-floor maxima are exact, and the
+// sketch bound skips nearly every sub-floor row.
 func (s *fitShare) fit(head string, hq *headQuery, cut int) float64 {
 	p, ok := s.prof.Get(head)
 	if !ok {

@@ -36,16 +36,13 @@ type conceptCluster struct {
 	// words are the matchable word vectors: content words of the seeds
 	// plus τ-expansion neighbors.
 	words []Representative
-	// seedMat and wordMat are the SoA forms of seeds and words (rows
-	// aligned), built once at FineTune time; wordMat stays nil when share
-	// resolves the fits.
+	// seedMat is the SoA form of seeds (rows aligned).
 	seedMat *embed.Matrix
-	wordMat *embed.Matrix
 	// seedMemo caches bestSeed per subphrase text.
 	seedMemo *cow.Map[string, string]
-	// share, when non-nil (cache-backed fine-tune with expansion), resolves
-	// head fits through the cross-τ profile instead of a per-τ wordMat sweep;
-	// cut is this matcher's τ-prefix length into the shared word sequence.
+	// share resolves head fits through the concept's cross-τ profile; cut is
+	// this matcher's τ-prefix length into the shared expansion sequence (0
+	// without expansion: the fit is the seed-head maximum alone).
 	share *fitShare
 	cut   int
 }
@@ -68,10 +65,6 @@ type Config struct {
 	// to a seed word become representatives, and a candidate head must fit
 	// the cluster with at least (approximately) Tau similarity.
 	Tau float64
-	// MaxPerPhrase caps the candidates returned per (phrase, concept) pair
-	// — syntactic refinement judges between concepts, so every concept
-	// keeps its strongest subphrases. Zero means 2.
-	MaxPerPhrase int
 	// IncludeSubject, when set, also builds a cluster for the subject
 	// concept so mentions of other subject instances are conceptualized
 	// (the evaluation counts them; slot filling skips them).
@@ -81,19 +74,17 @@ type Config struct {
 	DisableExpansion bool
 }
 
-func (c Config) maxPerPhrase() int {
-	if c.MaxPerPhrase <= 0 {
-		return 2
-	}
-	return c.MaxPerPhrase
-}
+// maxPerPhrase caps the candidates Match returns per (phrase, concept) pair:
+// syntactic refinement judges between concepts, so every concept keeps its
+// strongest subphrases.
+const maxPerPhrase = 2
 
 // acceptFloorBar is the fixed acceptance bar below. It is also baked into the
-// shared cross-τ fit profiles (fitShare): sub-floor prefix maxima are clamped
-// to just below it, which changes nothing observable — Match consumes a fit
-// only through `fit < acceptFloor` and as the exact Sim of accepted (above-
-// floor) candidates — while letting the profile sweep prune as hard as the
-// per-τ sweeps did.
+// cross-τ fit profiles (fitShare): sub-floor prefix maxima are clamped to
+// just below it, which changes nothing observable — Match consumes a fit only
+// through `fit < acceptFloor` and as the exact Sim of accepted (above-floor)
+// candidates — while letting the profile sweep's bound skip nearly every
+// sub-floor row.
 const acceptFloorBar = 0.95
 
 // acceptFloor is the minimum head-word cluster fit for a candidate. It is a
@@ -132,6 +123,19 @@ type sharedSeeds struct {
 	heads []Representative
 	mat   *embed.Matrix
 	memo  *cow.Map[string, string]
+
+	// headsOnly is the fit profile over the seed heads alone, which the
+	// seeds-only ablation (Config.DisableExpansion) fits through; built
+	// once, by the first such fine-tune.
+	headsOnce sync.Once
+	headsOnly *fitShare
+}
+
+// headsShare returns the seeds-only fit profile, building it on first
+// request.
+func (sh *sharedSeeds) headsShare(space *embed.Space, basis *embed.Basis) *fitShare {
+	sh.headsOnce.Do(func() { sh.headsOnly = buildFitShare(space, basis, sh.heads, nil) })
+	return sh.headsOnly
 }
 
 // buildSeedCluster constructs the shared seed model for one concept from its
@@ -170,13 +174,15 @@ func buildSeedCluster(space *embed.Space, basis *embed.Basis, instances []string
 
 // FineTune builds the matcher for the table's schema and instances
 // (MATCHER.FINETUNE in Algorithm 1). The embedding space supplies vectors
-// for both seeds and expansion candidates.
+// for both seeds and expansion candidates. It tunes through a private Cache;
+// Cache.FineTune shares one across a threshold sweep.
 func FineTune(space *embed.Space, table *schema.Table, cfg Config) (*Matcher, error) {
-	return fineTune(space, table, cfg, nil)
+	return fineTune(space, table, cfg, NewCache())
 }
 
-// fineTune is FineTune with an optional cache supplying shared τ-independent
-// seed clusters. The concepts are tuned on every core, one concept per
+// fineTune is FineTune drawing the τ-independent parts — seed clusters,
+// expansion lists, fit profiles and subphrase queries — from cache, which
+// must not be nil. The concepts are tuned on every core, one concept per
 // iteration, and their clusters then join the matcher in schema order, so
 // the result does not depend on the schedule.
 func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache) (*Matcher, error) {
@@ -188,16 +194,13 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 	}
 	idx := space.Index()
 	m := &Matcher{
-		space:      space,
-		cfg:        cfg,
-		byConcept:  make(map[schema.Concept]*conceptCluster),
-		basis:      idx.Basis(),
-		fitMemo:    cow.New[string, []float64](),
-		subQueries: cow.New[string, *embed.Query](),
-	}
-	if cache != nil {
+		space:     space,
+		cfg:       cfg,
+		byConcept: make(map[schema.Concept]*conceptCluster),
+		basis:     idx.Basis(),
+		fitMemo:   cow.New[string, []float64](),
 		// Sweep queries are τ-independent; share one memo across the sweep.
-		m.subQueries = cache.queriesFor(idx)
+		subQueries: cache.queriesFor(idx),
 	}
 	concepts := table.Schema.Concepts
 	clusters := make([]*conceptCluster, len(concepts))
@@ -216,7 +219,6 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 	if len(m.clusters) == 0 {
 		return nil, fmt.Errorf("matcher: no concept has usable seed instances")
 	}
-	m.vectorize()
 	m.warmFits()
 	m.ctxPool.New = func() any { return m.NewContext() }
 	return m, nil
@@ -226,21 +228,15 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 // concept has no usable seed instance. It reads only the matcher's space,
 // basis and configuration, so concepts tune concurrently.
 func (m *Matcher) tuneConcept(idx *embed.ThresholdIndex, table *schema.Table, c schema.Concept, cache *Cache) *conceptCluster {
-	build := func() *sharedSeeds { return buildSeedCluster(m.space, m.basis, table.ColumnValues(c)) }
-	var sh *sharedSeeds
-	var fp uint64
-	if cache != nil {
-		// Per-concept keying: the shared seeds, expansion lists and fit
-		// profile are pure functions of THIS concept's instance set, so
-		// they key on its column fingerprint rather than the whole
-		// table's. A live-table mutation that leaves a concept's column
-		// untouched then re-fine-tunes through warm entries for it —
-		// only the mutated concepts rebuild.
-		fp = table.ConceptFingerprint(c)
-		sh = cache.seedsFor(idx, fp, c, build)
-	} else {
-		sh = build()
-	}
+	// Per-concept keying: the shared seeds, expansion lists and fit profile
+	// are pure functions of THIS concept's instance set, so they key on its
+	// column fingerprint rather than the whole table's. A live-table
+	// mutation that leaves a concept's column untouched then re-fine-tunes
+	// through warm entries for it — only the mutated concepts rebuild.
+	fp := table.ConceptFingerprint(c)
+	sh := cache.seedsFor(idx, fp, c, func() *sharedSeeds {
+		return buildSeedCluster(m.space, m.basis, table.ColumnValues(c))
+	})
 	if len(sh.seeds) == 0 {
 		return nil
 	}
@@ -251,43 +247,30 @@ func (m *Matcher) tuneConcept(idx *embed.ThresholdIndex, table *schema.Table, c 
 		seedMat:  sh.mat,
 		seedMemo: sh.memo,
 	}
-	if !m.cfg.DisableExpansion {
-		var exp *expandEntry
-		if cache != nil {
-			exp = cache.expansionFor(idx, fp, c, m.cfg.Tau, sh.heads)
-		}
-		expandCluster(idx, m.space, cluster, m.cfg.Tau, exp)
-		if exp != nil {
-			cluster.share = exp.fitShare(m.space, m.basis, sh.heads)
-			cluster.cut = cluster.share.cutAt(m.cfg.Tau)
-		}
+	if m.cfg.DisableExpansion {
+		cluster.share = sh.headsShare(m.space, m.basis)
+		return cluster
 	}
+	exp := cache.expansionFor(idx, fp, c, m.cfg.Tau, sh.heads)
+	expandCluster(m.space, cluster, exp.listsAt(m.cfg.Tau))
+	cluster.share = exp.fitShare(m.space, m.basis, sh.heads)
+	cluster.cut = cluster.share.cutAt(m.cfg.Tau)
 	return cluster
 }
 
-// expandCluster adds vocabulary words similar to any seed word (cosine ≥
-// tau) as non-seed representatives — the weak-supervision "fine-tuning"
-// step. Lower τ expands further into the embedding neighborhood. Retrieval
-// goes through the space's threshold index, whose results are identical to
-// brute-force Space.Neighbors scans (the sketch bound screens, exact cosine
-// verifies). With a cache entry exp, the per-source neighbor lists are
-// shared across the whole τ sweep (see Cache.expansionFor): the sources —
-// the seed head words — are τ-independent, and a higher-τ list is an exact
-// prefix of a lower-τ list, so one retrieval pass serves every threshold
-// bit-identically.
-func expandCluster(idx *embed.ThresholdIndex, space *embed.Space, cluster *conceptCluster, tau float64, exp *expandEntry) {
+// expandCluster adds vocabulary words similar to any seed word (cosine ≥ τ)
+// as non-seed representatives — the weak-supervision "fine-tuning" step.
+// Lower τ expands further into the embedding neighborhood. lists[i] holds
+// the τ-neighbors of the cluster's i-th seed head, as the space's threshold
+// index returns them (see Cache.expansionFor): identical to brute-force
+// Space.Neighbors scans, sorted by decreasing similarity.
+func expandCluster(space *embed.Space, cluster *conceptCluster, lists [][]embed.Neighbor) {
 	// The sources are the seed heads the cluster starts with; appending to
 	// cluster.words never rewrites them, so they need no copy.
 	sources := cluster.words
 	seen := make(map[string]bool, len(sources))
 	for i := range sources {
 		seen[sources[i].Phrase] = true
-	}
-	var lists [][]embed.Neighbor
-	if exp != nil {
-		lists = exp.listsAt(tau)
-	} else {
-		lists = expansionLists(idx, sources, tau)
 	}
 	for si := range sources {
 		for _, nb := range lists[si] {
@@ -315,24 +298,6 @@ func expansionLists(idx *embed.ThresholdIndex, sources []Representative, tau flo
 		lists[i] = idx.NeighborsQuery(&q, tau)
 	})
 	return lists
-}
-
-// vectorize flattens every cluster's word vectors into SoA matrices sharing
-// the index's pruning basis. Seed matrices arrive prebuilt with the shared
-// seed cluster.
-func (m *Matcher) vectorize() {
-	for _, cl := range m.clusters {
-		if cl.share != nil {
-			// Fits resolve through the shared cross-τ profile: no per-τ word
-			// matrix to build at all.
-			continue
-		}
-		wordVecs := make([]embed.Vector, len(cl.words))
-		for i := range cl.words {
-			wordVecs[i] = cl.words[i].Vector
-		}
-		cl.wordMat = embed.NewMatrix(m.basis, wordVecs)
-	}
 }
 
 // warmFits sizes the fit memo with a warmup pass over the seed head words —
@@ -364,12 +329,14 @@ func (m *Matcher) warmFits() {
 }
 
 // computeFits scores a head word against every cluster: the maximum cosine
-// between the head and the cluster's representative words. Match consumes a
-// fit only through the acceptance test `fit < acceptFloor` (rejected) and as
-// the exact Sim of accepted candidates, so the sweep starts at the largest
-// float64 below the floor and stores sub-floor maxima as 0: accepted fits
-// are bit-identical to the brute-force sweep while rejected heads skip
-// nearly every dot product.
+// between the head and the cluster's representative words, which the
+// concept's fit profile resolves as max(seed-head max, prefix max at this
+// matcher's τ cut). Match consumes a fit only through the acceptance test
+// `fit < acceptFloor` (rejected) and as the exact Sim of accepted
+// candidates, so the profile sweeps start at the largest float64 below the
+// floor and sub-floor maxima are stored as 0: accepted fits are
+// bit-identical to the brute-force sweep while rejected heads skip nearly
+// every dot product.
 func (m *Matcher) computeFits(head string) []float64 {
 	fits := make([]float64, len(m.clusters))
 	v := m.space.Lookup(head)
@@ -379,16 +346,7 @@ func (m *Matcher) computeFits(head string) []float64 {
 	hq := headQuery{basis: m.basis, v: &v}
 	floor := math.Nextafter(m.cfg.acceptFloor(), 0)
 	for ci, cl := range m.clusters {
-		var best float64
-		if cl.share != nil {
-			// Cross-τ path: the shared profile's exact maxima reduce this
-			// matcher's fit to max(seed-head max, prefix max at its τ cut) —
-			// the same floored value the per-τ wordMat sweep produces.
-			best = cl.share.fit(head, &hq, cl.cut)
-		} else {
-			best = cl.wordMat.Max(hq.query(), floor)
-		}
-		if best > floor {
+		if best := cl.share.fit(head, &hq, cl.cut); best > floor {
 			fits[ci] = best
 		}
 	}
@@ -520,7 +478,7 @@ func (m *Matcher) ReleaseContext(c *MatchContext) { m.ctxPool.Put(c) }
 // Match proposes candidate entities for a phrase (MATCHER.MATCH in Algorithm
 // 1): every subphrase is scored by its lexical head against every concept
 // cluster; (subphrase, concept) pairs whose fit reaches the acceptance floor
-// become candidates, capped at MaxPerPhrase, strongest first.
+// become candidates, at most maxPerPhrase per concept, strongest first.
 func (m *Matcher) Match(p phrase.Phrase) []Candidate {
 	ctx := m.AcquireContext()
 	out := ctx.Match(p)
@@ -599,7 +557,6 @@ func (c *MatchContext) MatchBuf(p phrase.Phrase) []Candidate {
 	for i := range c.perConcept {
 		c.perConcept[i] = 0
 	}
-	maxPer := m.cfg.maxPerPhrase()
 	kept := c.cands[:0]
 	for _, cand := range c.cands {
 		key := candKey{phrase: cand.Phrase, concept: cand.Concept}
@@ -608,7 +565,7 @@ func (c *MatchContext) MatchBuf(p phrase.Phrase) []Candidate {
 		}
 		c.dedup[key] = true
 		ci := m.clusterIndex(cand.Concept)
-		if c.perConcept[ci] >= maxPer {
+		if c.perConcept[ci] >= maxPerPhrase {
 			continue
 		}
 		c.perConcept[ci]++
@@ -662,61 +619,4 @@ func (m *Matcher) Similarity(a, b string) float64 {
 		return 0
 	}
 	return sim
-}
-
-// Explanation describes why (or how well) a phrase head fits one concept
-// cluster: the best representative, how it entered the cluster, and the
-// similarity. Explanations make slot fills auditable.
-type Explanation struct {
-	// Concept is the cluster being explained.
-	Concept schema.Concept
-	// Fit is the head-word cluster fit used for acceptance.
-	Fit float64
-	// BestRep is the representative word closest to the head.
-	BestRep Representative
-	// Accepted reports whether the fit clears the acceptance floor.
-	Accepted bool
-}
-
-// Explain scores the phrase's head against every cluster and reports the
-// per-concept evidence, strongest first. It scans the representative words
-// directly (earliest wins ties), so it works the same whether the cluster's
-// fits come from a per-τ word matrix or a shared cross-τ profile.
-func (m *Matcher) Explain(p phrase.Phrase) []Explanation {
-	head := headWord(p.Words)
-	if head == "" {
-		return nil
-	}
-	v := m.space.Lookup(head)
-	floor := m.cfg.acceptFloor()
-	var out []Explanation
-	for _, cl := range m.clusters {
-		best, bestSim := Representative{}, -2.0
-		if !v.Zero() {
-			for i := range cl.words {
-				if sim := embed.CosineAt(&v, &cl.words[i].Vector); sim > bestSim {
-					bestSim, best = sim, cl.words[i]
-				}
-			}
-		}
-		if bestSim < 0 {
-			bestSim = 0
-		}
-		out = append(out, Explanation{
-			Concept:  cl.concept,
-			Fit:      bestSim,
-			BestRep:  best,
-			Accepted: bestSim >= floor,
-		})
-	}
-	stableSortByFit(out)
-	return out
-}
-
-func stableSortByFit(out []Explanation) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Fit > out[j-1].Fit; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 }

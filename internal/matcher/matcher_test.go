@@ -1,7 +1,6 @@
 package matcher
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -144,7 +143,7 @@ func TestMatchSubphrases(t *testing.T) {
 	// The running example: 'non-cancerous brain tumor' must surface both an
 	// Anatomy candidate (via 'brain') and a Complication candidate (via the
 	// tumor/cancer material).
-	m := newMatcher(t, 0.6, func(c *Config) { c.MaxPerPhrase = 10 })
+	m := newMatcher(t, 0.6)
 	cands := m.Match(phrase.Phrase{Words: []string{"non-cancerous", "brain", "tumor"}})
 	byConcept := map[schema.Concept]bool{}
 	for _, c := range cands {
@@ -165,7 +164,7 @@ func TestMatchStricterTauFewerMatches(t *testing.T) {
 }
 
 func TestMatchOrderingAndDedupe(t *testing.T) {
-	m := newMatcher(t, 0.5, func(c *Config) { c.MaxPerPhrase = 10 })
+	m := newMatcher(t, 0.5)
 	cands := m.Match(phrase.Phrase{Words: []string{"brain", "tumor"}})
 	for i := 1; i < len(cands); i++ {
 		if cands[i].Sim > cands[i-1].Sim {
@@ -196,53 +195,6 @@ func TestSimilarityClamped(t *testing.T) {
 	}
 	if s := m.Similarity("brain", "zzzzqqq"); s < 0 {
 		t.Errorf("similarity should clamp at 0, got %v", s)
-	}
-}
-
-func TestExplain(t *testing.T) {
-	m := newMatcher(t, 0.6)
-	exps := m.Explain(phrase.Phrase{Words: []string{"brain"}})
-	if len(exps) != 2 {
-		t.Fatalf("explanations = %d, want one per concept", len(exps))
-	}
-	top := exps[0]
-	if top.Concept != "Anatomy" || !top.Accepted {
-		t.Errorf("top explanation = %+v, want accepted Anatomy", top)
-	}
-	// 'brain' entered via τ-expansion: the provenance chain must name the
-	// admitting seed word.
-	if top.BestRep.Phrase != "brain" || top.BestRep.Seed || top.BestRep.Via == "" {
-		t.Errorf("expansion provenance missing: %+v", top.BestRep)
-	}
-	// Fits are sorted descending.
-	for i := 1; i < len(exps); i++ {
-		if exps[i].Fit > exps[i-1].Fit {
-			t.Error("explanations not sorted by fit")
-		}
-	}
-	if got := m.Explain(phrase.Phrase{}); got != nil {
-		t.Errorf("empty phrase explained: %v", got)
-	}
-
-	// A cache-built matcher resolves fits through the shared cross-τ profile
-	// and builds no per-τ word matrix; it must explain exactly like the
-	// direct fine-tune at the same τ.
-	cached, err := NewCache().FineTune(testSpace(), testTable(), Config{Tau: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := false
-	for _, cl := range cached.clusters {
-		shared = shared || cl.share != nil
-	}
-	if !shared {
-		t.Fatal("cache-built matcher has no fit-share cluster; the test no longer covers that path")
-	}
-	for _, words := range [][]string{{"brain"}, {"skin", "cancer"}, {"nervous", "system"}, {"zzzzqqq"}, {"the"}} {
-		p := phrase.Phrase{Words: words}
-		if got, want := cached.Explain(p), m.Explain(p); !reflect.DeepEqual(got, want) {
-			t.Errorf("Explain(%v): cache-built %+v, FineTune-built %+v", words, got, want)
-		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // small fixed allocation budget — independent of document length or phrase
 // count, which all resolve through reused scratch. The dispatcher goroutine
 // is parked via Shutdown first so the test goroutine can drive runBatch
-// directly (AllocsPerRun only counts the calling goroutine; Workers: 1 keeps
-// extraction on it too).
+// directly. AllocsPerRun counts the allocations of every goroutine, so the
+// count includes the run's single pipeline worker (Workers: 1) and its start.
 func TestServeZeroAllocWarmBatch(t *testing.T) {
 	table, space := testWorld()
 	// A live journal rides along: its hooks sit on drain/swap edges, so its

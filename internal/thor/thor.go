@@ -63,8 +63,8 @@ type Config struct {
 	// TuneCache, when set, memoizes matcher fine-tuning across pipelines
 	// keyed by (space, table content, matcher config) — see matcher.Cache.
 	// Threshold sweeps over the same knowledge table then share one
-	// fine-tuned matcher instead of re-expanding identical clusters. Results
-	// are identical with or without the cache.
+	// fine-tuned matcher instead of re-expanding identical clusters. Nil
+	// fine-tunes through a private cache; results are identical either way.
 	TuneCache *matcher.Cache
 	// ParseCache, when set, shares sentence analysis — POS tagging,
 	// dependency parsing, noun-phrase extraction — across pipelines. The
@@ -86,9 +86,9 @@ type Config struct {
 	NaiveChunking bool
 	// Lexicon optionally extends the POS tagger with domain words.
 	Lexicon map[string]pos.Tag
-	// Workers sets the number of documents processed concurrently. Zero or
-	// one means sequential. Results are identical regardless of the worker
-	// count: documents are merged back in input order.
+	// Workers sets the number of documents processed concurrently. Zero
+	// means one. Results are identical regardless of the worker count:
+	// documents are merged back in input order.
 	Workers int
 	// Validator, when set, vetoes extracted entities before slot filling —
 	// the knowledge-graph context filter of the paper's future work (see
@@ -482,13 +482,7 @@ func New(table *schema.Table, space *embed.Space, cfg Config) (*Pipeline, error)
 	mcfg.IncludeSubject = true
 	sp := cfg.Tracer.StartSpan("finetune")
 	tuneStart := time.Now()
-	var m *matcher.Matcher
-	var err error
-	if cfg.TuneCache != nil {
-		m, err = cfg.TuneCache.FineTune(space, knowledge, mcfg)
-	} else {
-		m, err = matcher.FineTune(space, knowledge, mcfg)
-	}
+	m, err := cfg.TuneCache.FineTune(space, knowledge, mcfg)
 	tuneDur := time.Since(tuneStart)
 	sp.End()
 	if err != nil {
@@ -565,8 +559,8 @@ type RunOptions struct {
 
 // RunContext executes phases ①a, ② and ③ over the documents and returns the
 // enriched table and extracted entities. With Config.Workers > 1, documents
-// are processed concurrently and merged back in input order, so the result
-// is identical to a sequential run.
+// are processed concurrently; they are merged back in input order, so the
+// result does not depend on the worker count.
 //
 // Fault isolation: a document whose extraction errors, panics, or exceeds
 // its deadline is quarantined — recorded in Result.Stats.Quarantined with
@@ -628,47 +622,33 @@ func (p *Pipeline) RunContextOpts(ctx context.Context, docs []segment.Document, 
 	outcomes := make([]*docOutcome, len(docs))
 	errs := make([]error, len(docs))
 	tries := make([]int, len(docs))
-	if w := p.cfg.Workers; w > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Each worker carries its own pooled match context so Match's
-				// scratch space is reused without contention — and across
-				// runs, so the steady state allocates no scratch at all.
-				mctx := p.match.AcquireContext()
-				defer p.match.ReleaseContext(mctx)
-				for i := range jobs {
-					if runCtx.Err() != nil {
-						continue // drain; the document stays unattempted
-					}
-					outcomes[i], tries[i], errs[i] = p.extractDocResilient(runCtx, docs[i], mctx, docTimeout)
-					if errs[i] != nil && !isContextErr(errs[i]) {
-						noteFailure()
-					}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for k := 0; k < max(1, p.cfg.Workers); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker carries its own pooled match context so Match's
+			// scratch space is reused without contention — and across runs,
+			// so the steady state allocates no scratch at all.
+			mctx := p.match.AcquireContext()
+			defer p.match.ReleaseContext(mctx)
+			for i := range jobs {
+				if runCtx.Err() != nil {
+					continue // drain; the document stays unattempted
 				}
-			}()
-		}
-		for i := range docs {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		mctx := p.match.AcquireContext()
-		for i := range docs {
-			if runCtx.Err() != nil {
-				break
+				outcomes[i], tries[i], errs[i] = p.extractDocResilient(runCtx, docs[i], mctx, docTimeout)
+				if errs[i] != nil && !isContextErr(errs[i]) {
+					noteFailure()
+				}
 			}
-			outcomes[i], tries[i], errs[i] = p.extractDocResilient(runCtx, docs[i], mctx, docTimeout)
-			if errs[i] != nil && !isContextErr(errs[i]) {
-				noteFailure()
-			}
-		}
-		p.match.ReleaseContext(mctx)
+		}()
 	}
+	for i := range docs {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 	aborted := failed.Load() > int64(allowance)
 	cancelled := ctx.Err() != nil
 
