@@ -28,7 +28,7 @@ func run() int {
 		shardMapPath   = flag.String("shard-map", "", "JSON shard map partitioning concepts across shards (mutually exclusive with -backends)")
 		addr           = flag.String("addr", ":8090", "listen address")
 		hedgeFactor    = flag.Float64("hedge-factor", 1.5, "hedge threshold as a multiple of the primary's observed p95")
-		hedgeMin       = flag.Duration("hedge-min", 20*time.Millisecond, "hedge threshold floor (also used before the p95 sketch has samples)")
+		hedgeMin       = flag.Duration("hedge-min", 20*time.Millisecond, "hedge threshold floor (also used before a backend's latency histogram has samples)")
 		hedgeMax       = flag.Duration("hedge-max", 2*time.Second, "hedge threshold ceiling")
 		retryAttempts  = flag.Int("retry-attempts", 3, "attempts per shard send for transient failures")
 		retryBase      = flag.Duration("retry-base", 10*time.Millisecond, "base backoff between retries (exponential, jittered)")

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"thor/internal/obs"
 	"thor/internal/promtext"
 )
 
@@ -47,15 +48,16 @@ type InstanceStatus struct {
 }
 
 // MergedHistogram is one histogram family merged across the fleet by
-// summing cumulative bucket counts — the merged quantiles are monotone by
-// construction.
+// summing per-bucket counts — the quantiles equal those of one histogram
+// that saw every instance's observations.
 type MergedHistogram struct {
 	// Count is the total observation count across instances.
 	Count float64 `json:"count"`
 	// Sum is the summed _sum across instances.
 	Sum float64 `json:"sum"`
-	// P50, P90 and P99 are bucket-interpolated quantiles of the merged
-	// distribution, in the family's native unit (seconds).
+	// P50, P90 and P99 are quantiles of the merged distribution by the
+	// obs.Quantile rule (bucket upper bounds), in the family's native unit
+	// (seconds).
 	P50 float64 `json:"p50"`
 	// P90 is the merged 90th percentile.
 	P90 float64 `json:"p90"`
@@ -241,16 +243,15 @@ func versionSkew(instances []InstanceStatus) []string {
 	return skew
 }
 
-// histMerger accumulates cumulative bucket counts per histogram family
-// across instances. Buckets are keyed by le bound; summing cumulative
-// counts of identical bounds keeps the merged CDF monotone.
+// histMerger accumulates per-bucket counts per histogram family across
+// instances, keyed by le bound.
 type histMerger struct {
 	families map[string]*histAcc
 }
 
 // histAcc is one family's accumulated state.
 type histAcc struct {
-	byLE      map[float64]float64
+	byLE      map[float64]float64 // observations in each bucket alone
 	count     float64
 	sum       float64
 	instances int
@@ -262,13 +263,23 @@ func newHistMerger() *histMerger {
 
 // add folds one instance's family into the accumulator, collapsing label
 // sets: thorctl's fleet view is per family, so per-label series (concepts,
-// streams) of the same family merge together.
+// streams) of the same family merge together. A series lists cumulative
+// counts for its non-empty buckets only, so each series is differenced back
+// into per-bucket counts before summing: a bucket one series leaves out then
+// adds nothing, where summing cumulative counts would add zero to its CDF.
 func (m *histMerger) add(name string, f *promtext.Family) {
 	acc := m.families[name]
 	if acc == nil {
-		acc = &histAcc{byLE: make(map[float64]float64)}
+		// Start from the obs bucket layout, so an answer in the overflow
+		// bucket reports the same last finite bound as one registry would.
+		acc = &histAcc{byLE: map[float64]float64{math.Inf(1): 0}}
+		for i := 0; i < obs.NumBuckets-1; i++ {
+			acc.byLE[obs.BucketBound(i).Seconds()] = 0
+		}
 		m.families[name] = acc
 	}
+	type bucket struct{ le, cum float64 }
+	series := make(map[string][]bucket)
 	contributed := false
 	for _, s := range f.Samples {
 		switch s.Name {
@@ -277,7 +288,8 @@ func (m *histMerger) add(name string, f *promtext.Family) {
 			if err != nil {
 				continue
 			}
-			acc.byLE[le] += s.Value
+			key := seriesKey(s)
+			series[key] = append(series[key], bucket{le, s.Value})
 		case name + "_count":
 			acc.count += s.Value
 			if s.Value > 0 {
@@ -287,9 +299,28 @@ func (m *histMerger) add(name string, f *promtext.Family) {
 			acc.sum += s.Value
 		}
 	}
+	for _, bs := range series {
+		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
+		prev := 0.0
+		for _, b := range bs {
+			acc.byLE[b.le] += b.cum - prev
+			prev = b.cum
+		}
+	}
 	if contributed {
 		acc.instances++
 	}
+}
+
+// seriesKey identifies a bucket sample's series: its label set minus le.
+func seriesKey(s promtext.Sample) string {
+	rest := promtext.Sample{Labels: make(map[string]string, len(s.Labels))}
+	for k, v := range s.Labels {
+		if k != "le" {
+			rest.Labels[k] = v
+		}
+	}
+	return rest.LabelString()
 }
 
 // parseLE parses a bucket bound, accepting the exposition infinities.
@@ -309,63 +340,21 @@ func parseLE(s string) (float64, error) {
 
 // merged folds the accumulated buckets into quantiles.
 func (a *histAcc) merged() MergedHistogram {
-	out := MergedHistogram{Count: a.count, Sum: a.sum, Instances: a.instances}
-	if a.count == 0 {
-		return out
-	}
-	les := make([]float64, 0, len(a.byLE))
+	bounds := make([]float64, 0, len(a.byLE))
 	for le := range a.byLE {
-		les = append(les, le)
+		bounds = append(bounds, le)
 	}
-	sort.Float64s(les)
-	cums := make([]float64, len(les))
-	for i, le := range les {
-		cums[i] = a.byLE[le]
+	sort.Float64s(bounds)
+	counts := make([]float64, len(bounds))
+	for i, le := range bounds {
+		counts[i] = a.byLE[le]
 	}
-	// Cumulative counts from different instances' bucket layouts can be
-	// jagged if layouts differ; enforce monotonicity before interpolating.
-	for i := 1; i < len(cums); i++ {
-		if cums[i] < cums[i-1] {
-			cums[i] = cums[i-1]
-		}
+	return MergedHistogram{
+		Count:     a.count,
+		Sum:       a.sum,
+		P50:       obs.Quantile(bounds, counts, 0.50),
+		P90:       obs.Quantile(bounds, counts, 0.90),
+		P99:       obs.Quantile(bounds, counts, 0.99),
+		Instances: a.instances,
 	}
-	total := cums[len(cums)-1]
-	out.P50 = quantileFromBuckets(les, cums, total, 0.50)
-	out.P90 = quantileFromBuckets(les, cums, total, 0.90)
-	out.P99 = quantileFromBuckets(les, cums, total, 0.99)
-	return out
-}
-
-// quantileFromBuckets interpolates the q-quantile from cumulative bucket
-// counts, Prometheus histogram_quantile-style: linear within the bucket the
-// rank falls into, with the +Inf bucket clamped to the last finite bound.
-func quantileFromBuckets(les, cums []float64, total, q float64) float64 {
-	if total == 0 || len(les) == 0 {
-		return 0
-	}
-	rank := q * total
-	for i, cum := range cums {
-		if cum < rank {
-			continue
-		}
-		lo, loCum := 0.0, 0.0
-		if i > 0 {
-			lo, loCum = les[i-1], cums[i-1]
-		}
-		hi := les[i]
-		if math.IsInf(hi, +1) {
-			// The rank lands in the overflow bucket: the best point estimate
-			// is the largest finite bound.
-			return lo
-		}
-		if cum == loCum {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-loCum)/(cum-loCum)
-	}
-	last := les[len(les)-1]
-	if math.IsInf(last, +1) && len(les) > 1 {
-		return les[len(les)-2]
-	}
-	return last
 }

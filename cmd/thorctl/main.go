@@ -1,7 +1,7 @@
 // Command thorctl aggregates a fleet of thord instances into one status
 // view: it polls each instance's /metrics and /readyz, merges histograms by
-// summing cumulative buckets (so fleet quantiles stay monotone), and
-// renders a status table — the observational substrate a sharded serving
+// summing per-bucket counts (so fleet quantiles equal those of one histogram
+// that saw every observation), and renders a status table — the observational substrate a sharded serving
 // tier's router will sit on.
 //
 // Usage:

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"thor/internal/embed"
 	"thor/internal/obs"
+	"thor/internal/promtext"
 	"thor/internal/schema"
 	"thor/internal/serve"
 )
@@ -211,21 +215,72 @@ func TestTableVersionSkew(t *testing.T) {
 	}
 }
 
-// TestQuantileFromBuckets pins the interpolation: a known CDF yields
-// monotone, in-range quantiles.
-func TestQuantileFromBuckets(t *testing.T) {
-	les := []float64{0.001, 0.01, 0.1, math.Inf(1)}
-	cums := []float64{10, 60, 90, 100}
-	var prev float64
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		v := quantileFromBuckets(les, cums, 100, q)
-		if v < prev {
-			t.Fatalf("quantile %v = %v < previous %v (not monotone)", q, v, prev)
+// TestFleetMergeMatchesOneRegistry: the histograms of 1–4 instances, merged
+// through their expositions, promtext and histMerger, report the count and
+// percentiles of one histogram that saw every observation. Each instance
+// spreads its observations over two label series. The first case has
+// instances listing different buckets (the cumulative counts of a bucket an
+// instance leaves out must not drop to zero); the rest are seeded durations
+// from 1ns to 200s, so sub-µs values and values past the last finite bucket
+// (~67s) both occur.
+func TestFleetMergeMatchesOneRegistry(t *testing.T) {
+	repeat := func(n int, d time.Duration) []time.Duration {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = d
 		}
-		prev = v
+		return ds
 	}
-	// q=0.99 lands in the +Inf bucket: clamped to the last finite bound.
-	if v := quantileFromBuckets(les, cums, 100, 0.99); v != 0.1 {
-		t.Errorf("overflow quantile = %v, want clamp to 0.1", v)
+	cases := [][][][]time.Duration{{ // instance → series → observations
+		{append(repeat(99, 700*time.Microsecond), 6*time.Millisecond)},
+		{repeat(100, 1500*time.Microsecond)},
+	}}
+	r := rand.New(rand.NewSource(1))
+	for c := 0; c < 40; c++ {
+		instances := make([][][]time.Duration, 1+r.Intn(4))
+		for i := range instances {
+			instances[i] = make([][]time.Duration, 2)
+			for j := range instances[i] {
+				for k := r.Intn(60); k > 0; k-- {
+					d := time.Duration(math.Exp(r.Float64() * math.Log(2e11)))
+					instances[i][j] = append(instances[i][j], d)
+				}
+			}
+		}
+		cases = append(cases, instances)
+	}
+	for c, instances := range cases {
+		merge := newHistMerger()
+		var all obs.Histogram
+		for _, series := range instances {
+			reg := obs.NewRegistry()
+			for j, ds := range series {
+				h := reg.Histogram(obs.LabeledName("lat", "series", strconv.Itoa(j)))
+				for _, d := range ds {
+					h.Observe(d)
+					all.Observe(d)
+				}
+			}
+			var buf bytes.Buffer
+			if err := obs.WriteOpenMetrics(&buf, reg, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			exp, err := promtext.Parse(&buf)
+			if err != nil {
+				t.Fatalf("case %d: parse: %v", c, err)
+			}
+			merge.add("lat_seconds", exp.Family("lat_seconds"))
+		}
+		got := merge.families["lat_seconds"].merged()
+		want := MergedHistogram{
+			Count: float64(all.Count()),
+			P50:   all.Quantile(0.50).Seconds(),
+			P90:   all.Quantile(0.90).Seconds(),
+			P99:   all.Quantile(0.99).Seconds(),
+		}
+		if got.Count != want.Count || got.P50 != want.P50 || got.P90 != want.P90 || got.P99 != want.P99 {
+			t.Errorf("case %d (%d instances): merged count/p50/p90/p99 = %v/%v/%v/%v, one registry %v/%v/%v/%v",
+				c, len(instances), got.Count, got.P50, got.P90, got.P99, want.Count, want.P50, want.P90, want.P99)
+		}
 	}
 }

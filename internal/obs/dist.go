@@ -2,15 +2,15 @@ package obs
 
 import "sync"
 
-// Distribution is a concurrency-safe quantile summary over unitless values —
-// assignment scores, ratios, sizes — built on the same deterministic Sketch
-// the SLO engine uses. Unlike a Histogram (fixed log-scaled duration
-// buckets), a Distribution adapts to whatever range it observes, at the cost
-// of a mutex per observation; keep it off per-phrase hot paths. The zero
-// value is ready to use; all methods are nil-safe.
+// Distribution is a concurrency-safe summary of unitless values —
+// assignment scores, ratios, sizes — that keeps their exact count, minimum
+// and maximum. It reports no percentiles: those come from Histogram buckets
+// (see Quantile), whose duration layout does not fit unitless values. The
+// zero value is ready to use; all methods are nil-safe.
 type Distribution struct {
-	mu sync.Mutex
-	sk *Sketch
+	mu       sync.Mutex
+	count    int64
+	min, max float64
 }
 
 // Observe adds one value. No-op on a nil distribution.
@@ -19,21 +19,14 @@ func (d *Distribution) Observe(v float64) {
 		return
 	}
 	d.mu.Lock()
-	if d.sk == nil {
-		d.sk = NewSketch(0)
+	if d.count == 0 || v < d.min {
+		d.min = v
 	}
-	d.sk.Observe(v)
+	if d.count == 0 || v > d.max {
+		d.max = v
+	}
+	d.count++
 	d.mu.Unlock()
-}
-
-// Count returns the number of observations (0 on a nil distribution).
-func (d *Distribution) Count() int64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sk.Count()
 }
 
 // DistributionSnapshot is the JSON-serializable state of one distribution.
@@ -44,12 +37,6 @@ type DistributionSnapshot struct {
 	Min float64 `json:"min"`
 	// Max is the exact largest observation.
 	Max float64 `json:"max"`
-	// P50, P90 and P99 are sketch-estimated quantiles.
-	P50 float64 `json:"p50"`
-	// P90 is the estimated 90th percentile.
-	P90 float64 `json:"p90"`
-	// P99 is the estimated 99th percentile.
-	P99 float64 `json:"p99"`
 }
 
 // Snapshot summarizes the distribution. Safe to call concurrently with
@@ -60,15 +47,5 @@ func (d *Distribution) Snapshot() DistributionSnapshot {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.sk == nil || d.sk.Count() == 0 {
-		return DistributionSnapshot{}
-	}
-	return DistributionSnapshot{
-		Count: d.sk.Count(),
-		Min:   d.sk.Min(),
-		Max:   d.sk.Max(),
-		P50:   d.sk.Query(0.50),
-		P90:   d.sk.Query(0.90),
-		P99:   d.sk.Query(0.99),
-	}
+	return DistributionSnapshot{Count: d.count, Min: d.min, Max: d.max}
 }

@@ -291,12 +291,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		}
 		s.MaxSeconds = time.Duration(h.max.Load()).Seconds()
 	}
-	counts := make([]int64, NumBuckets)
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-	}
+	counts := h.counts()
 	var cum int64
-	for i, n := range counts {
+	for i, c := range counts {
+		n := int64(c)
 		cum += n
 		// Empty finite buckets are elided for compactness; the overflow
 		// bucket is always present so every snapshot carries an explicit
@@ -311,35 +309,75 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		}
 		s.Buckets = append(s.Buckets, BucketCount{LE: le, Count: n, Cumulative: cum})
 	}
-	s.P50Seconds = quantile(counts, s.Count, 0.50)
-	s.P95Seconds = quantile(counts, s.Count, 0.95)
-	s.P99Seconds = quantile(counts, s.Count, 0.99)
+	s.P50Seconds = bucketQuantile(&counts, 0.50).Seconds()
+	s.P95Seconds = bucketQuantile(&counts, 0.95).Seconds()
+	s.P99Seconds = bucketQuantile(&counts, 0.99).Seconds()
 	s.Exemplar = h.exemplar()
 	return s
 }
 
-// quantile estimates the q-quantile from bucket counts: the upper bound of
-// the bucket where the cumulative count reaches q·total. The overflow bucket
-// reports the largest finite bound.
-func quantile(counts []int64, total int64, q float64) float64 {
-	if total == 0 {
+// counts loads every bucket's count.
+func (h *Histogram) counts() (c [NumBuckets]float64) {
+	for i := range c {
+		c[i] = float64(h.buckets[i].Load())
+	}
+	return c
+}
+
+// Quantile returns the histogram's q-quantile by the Quantile rule, 0 on an
+// empty or nil histogram. It reads the live buckets without allocating.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h == nil {
 		return 0
 	}
-	target := int64(q*float64(total) + 0.5)
-	if target < 1 {
-		target = 1
+	counts := h.counts()
+	return bucketQuantile(&counts, q)
+}
+
+// Quantile is THOR's one percentile rule. counts holds the observations in
+// each bucket alone and bounds the buckets' upper bounds in ascending order;
+// the last bucket is the overflow bucket. The answer is the upper bound of
+// the first bucket whose cumulative count reaches q·total (rounded to the
+// nearest observation, and at least the first); an answer in the overflow
+// bucket reports the bound below it. Returns 0 when every count is zero.
+//
+// On the Histogram layout, for observations from 1µs up to the last finite
+// bound, the nearest-rank quantile is below the answer and at least half of
+// it.
+func Quantile(bounds, counts []float64, q float64) float64 {
+	var total float64
+	for _, n := range counts {
+		total += n
 	}
-	var cum int64
-	for i, n := range counts {
-		cum += n
-		if cum >= target {
-			if i >= NumBuckets-1 {
-				i = NumBuckets - 2
-			}
-			return BucketBound(i).Seconds()
-		}
+	if total <= 0 {
+		return 0
 	}
-	return BucketBound(NumBuckets - 2).Seconds()
+	target := math.Max(1, math.Floor(q*total+0.5))
+	last := len(counts) - 1
+	i, cum := 0, counts[0]
+	for cum < target && i < last {
+		i++
+		cum += counts[i]
+	}
+	if i == last && i > 0 {
+		i--
+	}
+	return bounds[i]
+}
+
+// bucketNanos holds every Histogram bucket's upper bound in nanoseconds,
+// +Inf for the overflow bucket.
+var bucketNanos = func() (b [NumBuckets]float64) {
+	for i := 0; i < NumBuckets-1; i++ {
+		b[i] = float64(BucketBound(i))
+	}
+	b[NumBuckets-1] = math.Inf(1)
+	return b
+}()
+
+// bucketQuantile applies Quantile to counts in the Histogram layout.
+func bucketQuantile(counts *[NumBuckets]float64, q float64) time.Duration {
+	return time.Duration(Quantile(bucketNanos[:], counts[:], q))
 }
 
 // BucketCount is one histogram bucket in a snapshot. Non-empty finite
@@ -368,8 +406,8 @@ type HistogramSnapshot struct {
 	MinSeconds float64 `json:"minSeconds"`
 	// MaxSeconds is the largest observation.
 	MaxSeconds float64 `json:"maxSeconds"`
-	// P50Seconds, P95Seconds and P99Seconds are bucket-interpolated
-	// percentiles.
+	// P50Seconds, P95Seconds and P99Seconds are percentiles by the
+	// Quantile rule: bucket upper bounds.
 	P50Seconds float64 `json:"p50Seconds"`
 	// P95Seconds is the 95th percentile.
 	P95Seconds float64 `json:"p95Seconds"`
@@ -394,7 +432,7 @@ type Snapshot struct {
 	FloatGauges map[string]float64 `json:"floatGauges,omitempty"`
 	// Histograms maps histogram names to their snapshots.
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	// Distributions maps distribution names to their quantile summaries
+	// Distributions maps distribution names to their count and extremes
 	// (omitted when none is registered).
 	Distributions map[string]DistributionSnapshot `json:"distributions,omitempty"`
 }

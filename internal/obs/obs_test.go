@@ -2,6 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +75,84 @@ func TestHistogramStats(t *testing.T) {
 	}
 	if s.P50Seconds <= 0 || s.P99Seconds < s.P50Seconds {
 		t.Fatalf("quantiles inconsistent: p50=%v p99=%v", s.P50Seconds, s.P99Seconds)
+	}
+}
+
+// TestQuantile pins the percentile rule on a known CDF: answers are
+// monotone in q, and an answer in the overflow bucket reports the last
+// finite bound.
+func TestQuantile(t *testing.T) {
+	les := []float64{0.001, 0.01, 0.1, math.Inf(1)}
+	cums := []float64{10, 60, 90, 100}
+	counts := make([]float64, len(cums))
+	for i := range cums {
+		counts[i] = cums[i]
+		if i > 0 {
+			counts[i] -= cums[i-1]
+		}
+	}
+	var prev float64
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
+		v := Quantile(les, counts, q)
+		if v < prev {
+			t.Fatalf("quantile %v = %v < previous %v (not monotone)", q, v, prev)
+		}
+		prev = v
+	}
+	// q=0.99 lands in the +Inf bucket: clamped to the last finite bound.
+	if v := Quantile(les, counts, 0.99); v != 0.1 {
+		t.Errorf("overflow quantile = %v, want clamp to 0.1", v)
+	}
+}
+
+// genDurations draws n seeded durations log-uniformly from 1ns to 200s, so
+// sub-µs values and values past the last finite bound (~67s) both occur.
+func genDurations(r *rand.Rand, n int) []time.Duration {
+	ds := make([]time.Duration, n)
+	for i := range ds {
+		ds[i] = time.Duration(math.Exp(r.Float64() * math.Log(2e11)))
+	}
+	return ds
+}
+
+// TestHistogramQuantileBrackets checks the rule's guarantee against an exact
+// sort over seeded durations: the nearest-rank quantile lies below the
+// answer and is at least half of it; sub-µs quantiles read the first bound
+// and quantiles past the last finite bound read that bound. The read does
+// not allocate.
+func TestHistogramQuantileBrackets(t *testing.T) {
+	lastFinite := BucketBound(NumBuckets - 2)
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ds := genDurations(r, 1+r.Intn(500))
+		var h Histogram
+		for _, d := range ds {
+			h.Observe(d)
+		}
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		for _, q := range []float64{0, 0.5, 0.9, 0.95, 0.99, 1} {
+			rank := int(math.Max(1, math.Floor(q*float64(len(ds))+0.5)))
+			exact, got := ds[rank-1], h.Quantile(q)
+			var ok bool
+			switch {
+			case exact < time.Microsecond:
+				ok = got == time.Microsecond
+			case exact >= lastFinite:
+				ok = got == lastFinite
+			default:
+				ok = exact < got && 2*exact >= got
+			}
+			if !ok {
+				t.Errorf("seed %d q=%v: quantile %v for exact %v", seed, q, got, exact)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { h.Quantile(0.95) }); allocs != 0 {
+			t.Fatalf("Histogram.Quantile allocates %v times per call", allocs)
+		}
+	}
+	var empty *Histogram
+	if empty.Quantile(0.5) != 0 {
+		t.Fatal("nil histogram quantile != 0")
 	}
 }
 

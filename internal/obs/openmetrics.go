@@ -272,7 +272,7 @@ func (fs *familySet) addRegistry(reg *Registry) {
 		for _, q := range []struct {
 			q string
 			v float64
-		}{{"0", d.Min}, {"0.5", d.P50}, {"0.9", d.P90}, {"0.99", d.P99}, {"1", d.Max}} {
+		}{{"0", d.Min}, {"1", d.Max}} {
 			fs.add(fname, "summary", "", omSample{
 				labels: joinLabels(labels, `quantile="`+q.q+`"`),
 				value:  q.v,
@@ -342,8 +342,9 @@ func boolValue(b bool) float64 {
 // WriteOpenMetrics renders the registry, the SLO engine and (optionally)
 // the Go runtime metrics in OpenMetrics text format: counters with _total
 // samples, histograms with cumulative le buckets (including +Inf) plus
-// _sum/_count, distributions and SLO streams as quantile summaries. reg and
-// slo may be nil; their sections are then omitted. The output ends with the
+// _sum/_count, distributions as summaries of their extremes (quantile 0
+// and 1) plus _count, and SLO streams as quantile summaries. reg and slo may
+// be nil; their sections are then omitted. The output ends with the
 // OpenMetrics EOF marker and is accepted by Prometheus' text parser.
 func WriteOpenMetrics(w io.Writer, reg *Registry, slo *SLO, runtimeMetrics bool) error {
 	fs := newFamilySet()

@@ -33,9 +33,6 @@ type SLOConfig struct {
 	// stream can be judged violating — a cold engine is healthy, not
 	// degraded. Zero defaults to 10.
 	MinSamples int64
-	// SketchK sets the quantile sketch resolution (per-level capacity).
-	// Zero defaults to DefaultSketchK.
-	SketchK int
 	// Now overrides the clock — the deterministic test seam. Nil uses
 	// time.Now.
 	Now func() time.Time
@@ -80,7 +77,7 @@ type sloBucket struct {
 	total int64
 	slow  int64
 	errs  int64
-	lat   *Sketch
+	lat   [NumBuckets]int64 // latency counts in the Histogram layout
 }
 
 // sloStream is one named latency stream (a route or a pipeline stage).
@@ -101,7 +98,8 @@ type StreamStatus struct {
 	// Errors is the number of errored observations.
 	Errors int64 `json:"errors,omitempty"`
 	// P50MS, P95MS and P99MS are windowed latency percentiles in
-	// milliseconds, merged across the window's slice sketches.
+	// milliseconds: the Quantile rule over the window's summed bucket
+	// counts.
 	P50MS float64 `json:"p50Ms"`
 	// P95MS is the windowed 95th percentile in milliseconds.
 	P95MS float64 `json:"p95Ms"`
@@ -130,11 +128,11 @@ type SLOStatus struct {
 }
 
 // SLO is a streaming SLO engine: per-stream windowed latency percentiles
-// (mergeable quantile sketches, one per time slice) plus a burn-rate check
-// over the latency and error budgets. Judged streams (Observe) drive the
-// degraded signal consumed by /readyz; tracked streams (Track) publish
-// percentiles only. A nil *SLO is a valid disabled engine: Observe, Track
-// and Degraded no-op.
+// (bucket counts in the Histogram layout, one array per time slice) plus a
+// burn-rate check over the latency and error budgets. Judged streams
+// (Observe) drive the degraded signal consumed by /readyz; tracked streams
+// (Track) publish percentiles only. A nil *SLO is a valid disabled engine:
+// Observe, Track and Degraded no-op.
 type SLO struct {
 	mu  sync.Mutex
 	cfg SLOConfig
@@ -158,7 +156,7 @@ func (s *SLO) sliceDur() time.Duration {
 }
 
 // Observe records one judged observation: it feeds the stream's percentile
-// sketch and consumes latency/error budget. No-op on a nil engine.
+// buckets and consumes latency/error budget. No-op on a nil engine.
 func (s *SLO) Observe(stream string, d time.Duration, errored bool) {
 	s.observe(stream, d, errored, true)
 }
@@ -180,16 +178,13 @@ func (s *SLO) observe(stream string, d time.Duration, errored, judged bool) {
 		st = &sloStream{judged: judged, buckets: make([]sloBucket, s.cfg.Slices)}
 		for i := range st.buckets {
 			st.buckets[i].epoch = -1
-			st.buckets[i].lat = NewSketch(s.cfg.SketchK)
 		}
 		s.streams[stream] = st
 	}
 	epoch := s.cfg.Now().UnixNano() / int64(s.sliceDur())
 	b := &st.buckets[int(epoch%int64(s.cfg.Slices))]
 	if b.epoch != epoch {
-		b.epoch = epoch
-		b.total, b.slow, b.errs = 0, 0, 0
-		b.lat.Reset()
+		*b = sloBucket{epoch: epoch}
 	}
 	b.total++
 	if errored {
@@ -198,7 +193,7 @@ func (s *SLO) observe(stream string, d time.Duration, errored, judged bool) {
 	if s.cfg.Latency > 0 && d >= s.cfg.Latency {
 		b.slow++
 	}
-	b.lat.Observe(d.Seconds())
+	b.lat[bucketIndex(d)]++
 }
 
 // Status snapshots every stream over the current window.
@@ -254,10 +249,10 @@ func (s *SLO) fireTransition(st SLOStatus) {
 }
 
 // streamStatusLocked folds the live window slices of one stream: counters
-// summed, slice sketches merged into one window sketch.
+// and bucket counts summed, percentiles read from the summed buckets.
 func (s *SLO) streamStatusLocked(st *sloStream, epoch int64) StreamStatus {
 	ss := StreamStatus{Judged: st.judged}
-	window := NewSketch(s.cfg.SketchK)
+	var window [NumBuckets]float64
 	minEpoch := epoch - int64(s.cfg.Slices) + 1
 	for i := range st.buckets {
 		b := &st.buckets[i]
@@ -267,13 +262,13 @@ func (s *SLO) streamStatusLocked(st *sloStream, epoch int64) StreamStatus {
 		ss.Count += b.total
 		ss.Slow += b.slow
 		ss.Errors += b.errs
-		window.Merge(b.lat)
+		for j, n := range b.lat {
+			window[j] += float64(n)
+		}
 	}
-	if ss.Count > 0 {
-		ss.P50MS = window.Query(0.50) * 1e3
-		ss.P95MS = window.Query(0.95) * 1e3
-		ss.P99MS = window.Query(0.99) * 1e3
-	}
+	ss.P50MS = bucketQuantile(&window, 0.50).Seconds() * 1e3
+	ss.P95MS = bucketQuantile(&window, 0.95).Seconds() * 1e3
+	ss.P99MS = bucketQuantile(&window, 0.99).Seconds() * 1e3
 	if st.judged && ss.Count > 0 {
 		latBurn := 0.0
 		if s.cfg.Latency > 0 {

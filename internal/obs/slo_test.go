@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -123,7 +124,7 @@ func TestSLOTrackedStreamsNeverViolate(t *testing.T) {
 }
 
 // TestSLOWindowSlicesMerge checks observations spread over several slices
-// merge into one windowed percentile view (the mergeable-sketch property).
+// merge into one windowed percentile view (bucket counts sum across slices).
 func TestSLOWindowSlicesMerge(t *testing.T) {
 	clock := newTestClock()
 	slo := newTestSLO(clock, SLOConfig{Window: time.Minute, Slices: 6})
@@ -154,4 +155,44 @@ func TestSLONilIsNoOp(t *testing.T) {
 		t.Fatalf("nil SLO status = %+v", st)
 	}
 	slo.PublishExpvar("") // must not panic
+}
+
+// TestSLOWindowQuantilesMatchHistogram: over seeded durations spread across
+// slices, some of which expire, every windowed percentile equals
+// Histogram.Quantile over the observations still in the window.
+func TestSLOWindowQuantilesMatchHistogram(t *testing.T) {
+	const slice = 10 * time.Second
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		clock := newTestClock()
+		slo := newTestSLO(clock, SLOConfig{Window: 6 * slice, Slices: 6})
+		type timed struct {
+			epoch int64
+			d     time.Duration
+		}
+		var seen []timed
+		for step := 0; step < 12; step++ {
+			for _, d := range genDurations(r, 1+r.Intn(50)) {
+				slo.Track("s", d)
+				seen = append(seen, timed{clock.now.UnixNano() / int64(slice), d})
+			}
+			clock.advance(time.Duration(r.Int63n(int64(25 * time.Second))))
+		}
+		minEpoch := clock.now.UnixNano()/int64(slice) - 5
+		var h Histogram
+		for _, o := range seen {
+			if o.epoch >= minEpoch {
+				h.Observe(o.d)
+			}
+		}
+		ss := slo.Status().Streams["s"]
+		if ss.Count != h.Count() {
+			t.Fatalf("seed %d: window count %d, want %d", seed, ss.Count, h.Count())
+		}
+		for q, got := range map[float64]float64{0.50: ss.P50MS, 0.95: ss.P95MS, 0.99: ss.P99MS} {
+			if want := h.Quantile(q).Seconds() * 1e3; got != want {
+				t.Errorf("seed %d q=%v: window %vms, histogram %vms", seed, q, got, want)
+			}
+		}
+	}
 }

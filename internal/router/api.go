@@ -54,10 +54,12 @@ type BackendStatus struct {
 	// /metrics, 0 when unknown.
 	BurnRate float64 `json:"burn_rate,omitempty"`
 	// P50MS is the router-observed median latency for this backend, in
-	// milliseconds (0 until enough samples).
+	// milliseconds: a latency-histogram bucket upper bound (0 until the
+	// first sample).
 	P50MS float64 `json:"p50_ms"`
 	// P95MS is the router-observed p95 latency for this backend, in
-	// milliseconds (0 until enough samples).
+	// milliseconds: a latency-histogram bucket upper bound (0 until the
+	// first sample).
 	P95MS float64 `json:"p95_ms"`
 	// Requests counts the router's calls to this backend.
 	Requests int64 `json:"requests"`

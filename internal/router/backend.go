@@ -41,16 +41,15 @@ func (h healthClass) String() string {
 }
 
 // backend is the router's per-replica state: identity, breaker, prober
-// belief and the latency sketch the hedge threshold derives from.
+// belief and the latency histogram the hedge threshold derives from.
 type backend struct {
 	url   string // normalized base URL
 	host  string // host:port, the metrics label value
 	shard string
 	brk   *Breaker
 
-	// mu serializes the sketch (not concurrency-safe) and health fields.
+	// mu serializes the health fields.
 	mu      sync.Mutex
-	sketch  *obs.Sketch
 	health  healthClass
 	burn    float64 // worst SLO burn rate scraped from /metrics
 	lastErr string
@@ -58,13 +57,16 @@ type backend struct {
 	requests atomic.Int64
 	errors   atomic.Int64
 
+	// lat is the router.backend.latency{backend} series, or a private
+	// histogram without a registry: /metrics and hedging read the same one.
+	lat *obs.Histogram
+
 	// Pre-resolved labeled metrics.
-	mReqs    *obs.Counter
-	mErrs    *obs.Counter
-	mLatency *obs.Histogram
-	mState   *obs.Gauge
-	mTrans   *obs.Counter
-	mBurn    *obs.FloatGauge
+	mReqs  *obs.Counter
+	mErrs  *obs.Counter
+	mState *obs.Gauge
+	mTrans *obs.Counter
+	mBurn  *obs.FloatGauge
 }
 
 // newBackend builds the state for one replica, registering its labeled
@@ -76,16 +78,18 @@ func newBackend(url, shard string, bcfg BreakerConfig, reg *obs.Registry, notify
 		host = host[i+3:]
 	}
 	b := &backend{
-		url:      url,
-		host:     host,
-		shard:    shard,
-		sketch:   obs.NewSketch(0),
-		mReqs:    reg.Counter(obs.LabeledName("router.backend.requests", "backend", host)),
-		mErrs:    reg.Counter(obs.LabeledName("router.backend.errors", "backend", host)),
-		mLatency: reg.Histogram(obs.LabeledName("router.backend.latency", "backend", host)),
-		mState:   reg.Gauge(obs.LabeledName("router.breaker.state", "backend", host)),
-		mTrans:   reg.Counter(obs.LabeledName("router.breaker.transitions", "backend", host)),
-		mBurn:    reg.FloatGauge(obs.LabeledName("router.backend.burn_rate", "backend", host)),
+		url:    url,
+		host:   host,
+		shard:  shard,
+		lat:    reg.Histogram(obs.LabeledName("router.backend.latency", "backend", host)),
+		mReqs:  reg.Counter(obs.LabeledName("router.backend.requests", "backend", host)),
+		mErrs:  reg.Counter(obs.LabeledName("router.backend.errors", "backend", host)),
+		mState: reg.Gauge(obs.LabeledName("router.breaker.state", "backend", host)),
+		mTrans: reg.Counter(obs.LabeledName("router.breaker.transitions", "backend", host)),
+		mBurn:  reg.FloatGauge(obs.LabeledName("router.backend.burn_rate", "backend", host)),
+	}
+	if b.lat == nil {
+		b.lat = new(obs.Histogram)
 	}
 	cfg := bcfg
 	cfg.OnTransition = func(from, to BreakerState) {
@@ -99,41 +103,33 @@ func newBackend(url, shard string, bcfg BreakerConfig, reg *obs.Registry, notify
 	return b
 }
 
-// observe records one call's outcome into the backend's sketch, counters and
-// breaker.
+// observe records one call's outcome into the backend's latency histogram,
+// counters and breaker.
 func (b *backend) observe(d time.Duration, ok bool) {
 	b.requests.Add(1)
 	b.mReqs.Add(1)
-	b.mLatency.Observe(d)
+	b.lat.Observe(d)
 	if !ok {
 		b.errors.Add(1)
 		b.mErrs.Add(1)
 	}
-	b.mu.Lock()
-	b.sketch.ObserveDuration(d)
-	b.mu.Unlock()
 	b.brk.Record(ok)
 }
 
 // observeCancelled releases the breaker for a call abandoned by our own
 // cancellation (hedge loser, client gone): neither a success nor a failure,
 // and its latency — cancellation time, not backend time — stays out of the
-// sketch.
+// histogram.
 func (b *backend) observeCancelled() {
 	b.requests.Add(1)
 	b.mReqs.Add(1)
 	b.brk.RecordNeutral()
 }
 
-// p95 returns the router-observed p95 latency for the backend, 0 until the
-// sketch has samples.
+// p95 returns the router-observed p95 latency for the backend (a bucket
+// upper bound, at most twice the true p95), 0 until it has samples.
 func (b *backend) p95() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.sketch.Count() == 0 {
-		return 0
-	}
-	return time.Duration(b.sketch.Query(0.95) * float64(time.Second))
+	return b.lat.Quantile(0.95)
 }
 
 // classify returns the prober's current belief.
@@ -155,21 +151,14 @@ func (b *backend) setHealth(h healthClass, burn float64, lastErr string) {
 
 // status snapshots the backend for topology output.
 func (b *backend) status() BackendStatus {
-	b.mu.Lock()
-	h, burn := b.health, b.burn
-	var p50, p95 float64
-	if b.sketch.Count() > 0 {
-		p50 = b.sketch.Query(0.50) * 1e3
-		p95 = b.sketch.Query(0.95) * 1e3
-	}
-	b.mu.Unlock()
+	h, burn, _ := b.classify()
 	return BackendStatus{
 		URL:      b.url,
 		Health:   h.String(),
 		Breaker:  b.brk.State().String(),
 		BurnRate: burn,
-		P50MS:    p50,
-		P95MS:    p95,
+		P50MS:    b.lat.Quantile(0.50).Seconds() * 1e3,
+		P95MS:    b.p95().Seconds() * 1e3,
 		Requests: b.requests.Load(),
 		Errors:   b.errors.Load(),
 	}

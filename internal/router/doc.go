@@ -19,10 +19,12 @@
 // Four mechanisms compose, from fastest to slowest reaction:
 //
 //   - Hedged reads: when a backend's reply exceeds a hedge threshold derived
-//     from the router's own per-backend p95 sketch (deadline-aware, clamped),
-//     the same call is issued to the next-preferred replica; the first
-//     success wins and the loser's context is cancelled, which the backend's
-//     coalescer honors by dropping the request before batch start.
+//     from the p95 of the router's own per-backend latency histogram (the
+//     router.backend.latency series /metrics exposes; a bucket upper bound,
+//     at most twice the true p95; deadline-aware, clamped), the same call is
+//     issued to the next-preferred replica; the first success wins and the
+//     loser's context is cancelled, which the backend's coalescer honors by
+//     dropping the request before batch start.
 //   - Circuit breakers: consecutive per-backend failures open a breaker
 //     (closed → open → half-open with a single probe), removing the backend
 //     from selection until a probe succeeds.

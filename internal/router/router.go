@@ -49,7 +49,7 @@ type Options struct {
 	// silent for p95×factor.
 	HedgeFactor float64
 	// HedgeMin is the hedge threshold floor (default 20ms); it also serves
-	// as the threshold before the p95 sketch has samples.
+	// as the threshold before the primary's latency histogram has samples.
 	HedgeMin time.Duration
 	// HedgeMax is the hedge threshold ceiling (default 2s).
 	HedgeMax time.Duration
@@ -719,7 +719,7 @@ func (rt *Router) callBackend(ctx context.Context, b *backend, endpoint string, 
 		if ctx.Err() != nil {
 			// Abandoned by our own cancellation (hedge loser, client gone):
 			// says nothing about the backend, so neither the breaker nor
-			// the latency sketch should count it.
+			// the latency histogram should count it.
 			if span != nil {
 				span.Annotate("router.backend.cancelled")
 				span.End()

@@ -273,6 +273,46 @@ func TestHedgeFiresOnSlowPrimaryAndCancelsLoser(t *testing.T) {
 	}
 }
 
+// TestHedgeDelay pins the hedge threshold without sleeping: the floor
+// before any samples, p95 × factor at a known bucket, the HedgeMax ceiling
+// and the half-remaining-deadline cap. With a registry, the threshold reads
+// the router.backend.latency series /metrics exposes.
+func TestHedgeDelay(t *testing.T) {
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		rt := newTestRouter(t, reg, Options{}, "http://127.0.0.1:1")
+		b := rt.shards[0].backends[0]
+		ctx := context.Background()
+		if d := rt.hedgeDelay(ctx, b); d != 20*time.Millisecond {
+			t.Errorf("no samples: threshold %v, want the 20ms floor", d)
+		}
+		for i := 0; i < 100; i++ {
+			b.observe(40*time.Millisecond, true)
+		}
+		// 40ms lands in the bucket bounded by 65.536ms, scaled by 1.5.
+		if d := rt.hedgeDelay(ctx, b); d != 98304*time.Microsecond {
+			t.Errorf("p95 × factor: threshold %v, want 98.304ms", d)
+		}
+		dctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		if d := rt.hedgeDelay(dctx, b); d > 50*time.Millisecond || d < 25*time.Millisecond {
+			t.Errorf("deadline cap: threshold %v, want just under half of 100ms", d)
+		}
+		cancel()
+		if reg != nil {
+			if n := reg.Histogram(obs.LabeledName("router.backend.latency", "backend", b.host)).Count(); n != 100 {
+				t.Errorf("router.backend.latency count = %d, want the 100 hedging read", n)
+			}
+		}
+	}
+	rt := newTestRouter(t, nil, Options{HedgeMax: 50 * time.Millisecond}, "http://127.0.0.1:1")
+	b := rt.shards[0].backends[0]
+	for i := 0; i < 100; i++ {
+		b.observe(40*time.Millisecond, true)
+	}
+	if d := rt.hedgeDelay(context.Background(), b); d != 50*time.Millisecond {
+		t.Errorf("ceiling: threshold %v, want HedgeMax 50ms", d)
+	}
+}
+
 func TestAllReplicasDownUnavailable(t *testing.T) {
 	a, b := newFakeThord(t, "a"), newFakeThord(t, "b")
 	a.ts.Close()
