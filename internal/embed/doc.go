@@ -14,7 +14,7 @@
 //
 // The matcher's sweeps run on Matrix slabs screened by a sketch bound (see
 // soa.go). Every kernel that scores several dot products at once — cosine4
-// over four rows, the four-row bound behind ArgMax, PrefixMaxFloor and
+// over four rows, the four-row bound behind ArgMax, PrefixMaxRises and
 // EachAtLeast, the four-direction sketch, and NewBasis deflating four
 // residual rows per pass on every core — keeps one accumulator per product
 // over ascending components. Interleaving the chains only lets the

@@ -489,47 +489,53 @@ func (m *Matrix) Max(q *Query, init float64) float64 {
 	return best
 }
 
-// PrefixMaxFloor fills dst[i-lo] with the maximum cosine between q and rows
-// lo..i (inclusive) for every i in [lo, hi), with the running maximum started
-// at floor — the prefix-maximum sweep backing the matcher's cross-τ fit
-// profiles. Prefix maxima above floor equal the sequential Cosine sweep's
-// exactly (the bound only skips rows that provably cannot raise the running
-// maximum, and the maximum of a set is order-independent); prefixes whose
-// true maximum does not exceed floor come back as floor itself, which is what
-// lets the bound skip nearly every sub-floor row. Bounds come four rows at a
-// time from bounds and meet the running maximum in row order, as in a
-// one-row loop. dst must have length hi-lo.
-func (m *Matrix) PrefixMaxFloor(q *Query, lo, hi int, floor float64, dst []float64) {
+// Rise is one change point of a prefix-maximum sweep: the running maximum
+// first reaches Max at row Row.
+type Rise struct {
+	// Row is the row at which the running maximum rises.
+	Row int
+	// Max is the cosine it rises to.
+	Max float64
+}
+
+// PrefixMaxRises sweeps the rows in order, keeping the running maximum
+// cosine between q and rows 0..i started at floor, and appends to dst every
+// row where that maximum rises, with the value it rises to — the change-point
+// form behind the matcher's cross-τ fit profiles. The prefix maximum through
+// row i is the Max of the last rise at or before i, or floor when there is
+// none. Rises above floor carry the sequential Cosine sweep's values exactly
+// (the bound only skips rows that provably cannot raise the running maximum,
+// and the maximum of a set is order-independent); rows whose cosine does not
+// exceed the running maximum never rise, which is what lets the bound skip
+// nearly every sub-floor row. Bounds come four rows at a time from bounds
+// and meet the running maximum in row order, as in a one-row loop.
+func (m *Matrix) PrefixMaxRises(q *Query, floor float64, dst []Rise) []Rise {
 	if q.nv == 0 {
-		// Every cosine is 0, matching CosineAt's zero-vector convention; the
-		// running maximum still starts at floor.
-		v := floor
-		if 0 > v {
-			v = 0
+		// Every cosine is 0, matching CosineAt's zero-vector convention: the
+		// maximum rises at row 0 if the floor is below 0, and never after.
+		if floor < 0 && m.n > 0 {
+			dst = append(dst, Rise{Row: 0, Max: 0})
 		}
-		for i := range dst {
-			dst[i] = v
-		}
-		return
+		return dst
 	}
 	run := floor
 	var filtered, passed uint64
 	var ub [4]float64
-	for g := lo; g < hi; g += 4 {
-		for k, n := 0, m.bounds(q, g, hi, &ub); k < n; k++ {
-			i := g + k
+	for g := 0; g < m.n; g += 4 {
+		for k, n := 0, m.bounds(q, g, m.n, &ub); k < n; k++ {
 			if ub[k]+boundMargin < run {
 				filtered++
-			} else {
-				passed++
-				if c := m.Cosine(q, i); c > run {
-					run = c
-				}
+				continue
 			}
-			dst[i-lo] = run
+			passed++
+			if c := m.Cosine(q, g+k); c > run {
+				run = c
+				dst = append(dst, Rise{Row: g + k, Max: c})
+			}
 		}
 	}
 	addSweepStats(filtered, passed)
+	return dst
 }
 
 // EachAtLeast calls f(i, sim) for every row whose cosine reaches tau, in row

@@ -223,6 +223,23 @@ func checkSweepsMatchBrute(t *testing.T, name string, vecs, queries []Vector) {
 			if gotI != wantI || got != want {
 				t.Fatalf("%s query %d ArgMax(init=%v): got (%d, %v), brute (%d, %v)", name, qi, init, gotI, got, wantI, want)
 			}
+			var rises []Rise
+			run := init
+			for i := range vecs {
+				if sim := CosineAt(&qv, &vecs[i]); sim > run {
+					run = sim
+					rises = append(rises, Rise{Row: i, Max: sim})
+				}
+			}
+			gotRises := m.PrefixMaxRises(&q, init, nil)
+			if len(gotRises) != len(rises) {
+				t.Fatalf("%s query %d PrefixMaxRises(floor=%v): %v, brute %v", name, qi, init, gotRises, rises)
+			}
+			for k := range rises {
+				if gotRises[k].Row != rises[k].Row || math.Float64bits(gotRises[k].Max) != math.Float64bits(rises[k].Max) {
+					t.Fatalf("%s query %d PrefixMaxRises(floor=%v): %v, brute %v", name, qi, init, gotRises, rises)
+				}
+			}
 		}
 		for _, tau := range taus {
 			var want []int
@@ -471,7 +488,7 @@ func checkSketch(t *testing.T, where string, got []float64, gotResid float64, wa
 // TestBoundsBitIdentical pins the four-row bound kernel to bound: for row
 // counts 1 to 9 and every window a sweep can ask for — full groups of four
 // and the shorter tails before the sweep's end — each value equals bound's
-// bit for bit, so no skip decision of ArgMax, PrefixMaxFloor or EachAtLeast
+// bit for bit, so no skip decision of ArgMax, PrefixMaxRises or EachAtLeast
 // can change.
 func TestBoundsBitIdentical(t *testing.T) {
 	for name, vs := range kernelSamples() {

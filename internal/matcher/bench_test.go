@@ -30,7 +30,8 @@ func BenchmarkSeedSearch(b *testing.B) {
 		for _, sp := range phrase.AppendSubphraseSpans(nil, p) {
 			if sub := strings.Join(p.Words[sp.Start:sp.End], " "); !seen[sub] {
 				seen[sub] = true
-				queries = append(queries, m.subQuery(sub))
+				q := m.basis.Query(m.space.PhraseVectorCached(sub))
+				queries = append(queries, &q)
 			}
 		}
 	}

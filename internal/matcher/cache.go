@@ -4,60 +4,59 @@ import (
 	"sort"
 	"sync"
 
-	"thor/internal/cow"
 	"thor/internal/embed"
 	"thor/internal/schema"
 )
 
-// cacheKey identifies a fine-tune result: the space's vocabulary snapshot
-// (by index identity — vectors are not hashed, so distinct spaces never
-// share an entry, and adding words to a space invalidates its index and with
-// it every cached matcher), the knowledge table's content fingerprint, and
-// the full matcher configuration.
-type cacheKey struct {
+// tuneKey identifies one fine-tune generation: the space's vocabulary
+// snapshot (by index identity — vectors are not hashed, so distinct spaces
+// never share an entry, and adding words to a space invalidates its index and
+// with it every cached matcher) and the full matcher configuration. The
+// cache keeps the matcher of one knowledge table per key: the newest table
+// asked for (see tuned).
+type tuneKey struct {
 	index *embed.ThresholdIndex
-	table uint64
 	cfg   Config
 }
 
-// seedKey identifies a shared τ-independent seed cluster: like cacheKey, but
-// per concept and without the threshold — seeds do not depend on it. The
-// table component is the CONCEPT's instance-set fingerprint
-// (schema.Table.ConceptFingerprint), not the whole table's: a seed cluster
-// is a pure function of its own column's values, so a table mutation that
-// leaves the column untouched keeps the entry warm (the incremental
-// invalidation live tables rely on).
-type seedKey struct {
+// tuned is a cached matcher and the knowledge table's content fingerprint it
+// was fine-tuned on.
+type tuned struct {
+	table uint64
+	m     *Matcher
+}
+
+// conceptKey identifies the cache's shared, τ-independent state for one
+// concept: its seed cluster and its expansion lists. Each entry records the
+// CONCEPT's instance-set fingerprint (schema.Table.ConceptFingerprint), not
+// the whole table's: a seed cluster and its expansions are pure functions of
+// their own column's values, so a table mutation that leaves the column
+// untouched keeps the entry warm (the incremental invalidation live tables
+// rely on), while one that changes it replaces the entry.
+type conceptKey struct {
 	index   *embed.ThresholdIndex
-	table   uint64
 	concept schema.Concept
 }
 
-// expandKey identifies a shared τ-expansion retrieval: the per-source
-// neighbor lists for one concept's seed heads, keyed — like seedKey — by the
-// concept's own instance-set fingerprint. τ is deliberately absent —
-// lists are stored at the lowest τ requested so far and prefix-cut upward.
-type expandKey struct {
-	index   *embed.ThresholdIndex
-	table   uint64
-	concept schema.Concept
-}
-
-// seedEntry holds one concept's shared seed cluster, built once by the
-// first fine-tune that asks for it; later askers wait on once instead of
-// the cache-wide lock, so different concepts build at the same time.
+// seedEntry holds one concept's shared seed cluster for the instance set
+// fingerprinted table, built once by the first fine-tune that asks for it;
+// later askers wait on once instead of the cache-wide lock, so different
+// concepts build at the same time.
 type seedEntry struct {
-	once sync.Once
-	sh   *sharedSeeds
+	table uint64
+	once  sync.Once
+	sh    *sharedSeeds
 }
 
-// expandEntry holds one concept's expansion lists, computed at tau (the
-// lowest threshold requested so far) by the first fine-tune that reaches
-// the entry; later ones wait on listsOnce. Lists are immutable once stored;
-// higher-τ requests serve prefix subslices. The entry also owns the
-// generation's fitShare — the cross-τ head-fit profile built over exactly
-// these lists — created lazily by the first fine-tune that needs it.
+// expandEntry holds one concept's expansion lists for the instance set
+// fingerprinted table, computed at tau (the lowest threshold requested so
+// far) by the first fine-tune that reaches the entry; later ones wait on
+// listsOnce. Lists are immutable once stored; higher-τ requests serve prefix
+// subslices. The entry also owns the generation's fitShare — the cross-τ
+// head-fit profile built over exactly these lists — created lazily by the
+// first fine-tune that needs it.
 type expandEntry struct {
+	table     uint64
 	tau       float64
 	listsOnce sync.Once
 	lists     [][]embed.Neighbor
@@ -73,64 +72,49 @@ type expandEntry struct {
 // requests can share one instance along with all its warmed memos.
 //
 // The table is keyed by content (schema.Table.Fingerprint), not identity:
-// callers that rebuild an equal table still hit. Mutating a table after
-// fine-tuning through the cache gives a stale matcher on the old fingerprint
-// and a fresh one on the new — never a wrong hit.
+// callers that rebuild an equal table still hit. The cache keeps one table
+// generation per (space, config), and one column generation per (space,
+// concept) for seed clusters and expansions: fine-tuning on a mutated table
+// replaces the superseded entries instead of keeping them beside the new
+// ones, so a live table that changes on every write holds one matcher per
+// configuration, not one per write. A matcher already handed out keeps its
+// own pointers and stays valid; the τ sweep's matchers share one table and
+// all stay cached.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*Matcher
+	entries map[tuneKey]tuned
 
 	// seedMu and expMu guard only the two maps; every entry is built
 	// outside them, once (see seedEntry and expandEntry).
 	seedMu sync.Mutex
-	seeds  map[seedKey]*seedEntry
+	seeds  map[conceptKey]*seedEntry
 
 	expMu sync.Mutex
-	exps  map[expandKey]*expandEntry
-
-	// queries shares the per-subphrase sweep queries across every matcher
-	// fine-tuned against the same vocabulary snapshot: a Query is a pure
-	// function of (basis, phrase vector), and the basis is the index's, so the
-	// whole τ sweep can reuse one memo instead of rebuilding per threshold.
-	queryMu sync.Mutex
-	queries map[*embed.ThresholdIndex]*cow.Map[string, *embed.Query]
+	exps  map[conceptKey]*expandEntry
 }
 
 // NewCache returns an empty fine-tune cache, safe for concurrent use.
 func NewCache() *Cache {
 	return &Cache{
-		entries: make(map[cacheKey]*Matcher),
-		seeds:   make(map[seedKey]*seedEntry),
-		exps:    make(map[expandKey]*expandEntry),
-		queries: make(map[*embed.ThresholdIndex]*cow.Map[string, *embed.Query]),
+		entries: make(map[tuneKey]tuned),
+		seeds:   make(map[conceptKey]*seedEntry),
+		exps:    make(map[conceptKey]*expandEntry),
 	}
-}
-
-// queriesFor returns the shared subphrase-query memo for a vocabulary
-// snapshot, creating it on first request.
-func (c *Cache) queriesFor(index *embed.ThresholdIndex) *cow.Map[string, *embed.Query] {
-	c.queryMu.Lock()
-	defer c.queryMu.Unlock()
-	q, ok := c.queries[index]
-	if !ok {
-		q = cow.New[string, *embed.Query]()
-		c.queries[index] = q
-	}
-	return q
 }
 
 // seedsFor returns the shared seed cluster for (vocabulary snapshot, concept
 // instance-set fingerprint, concept), building and storing it on first
-// request. A threshold sweep fine-tunes once per τ, but the seed instances,
+// request; it replaces the cluster cached for another instance set of the
+// concept. A threshold sweep fine-tunes once per τ, but the seed instances,
 // their sweep matrix and the best-seed memo are τ-independent, so every
 // configuration shares one instance — later τ runs start with the earlier
 // runs' best-seed memo already warm.
 func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, build func() *sharedSeeds) *sharedSeeds {
-	key := seedKey{index: index, table: table, concept: concept}
+	key := conceptKey{index: index, concept: concept}
 	c.seedMu.Lock()
 	e, ok := c.seeds[key]
-	if !ok {
-		e = &seedEntry{}
+	if !ok || e.table != table {
+		e = &seedEntry{table: table}
 		c.seeds[key] = e
 	}
 	c.seedMu.Unlock()
@@ -145,14 +129,15 @@ func (c *Cache) seedsFor(index *embed.ThresholdIndex, table uint64, concept sche
 // keeps the entry for the lowest τ requested so far and serves higher
 // thresholds by prefix cut (listsAt) — bit-identical to a direct retrieval
 // at that threshold. A request below the stored τ replaces the entry with
-// a new one at its τ (a superset of the old one). The sources are the
-// concept's shared seed heads, the same for every caller of a key.
+// a new one at its τ (a superset of the old one), and so does a request
+// for another instance set of the concept. The sources are the concept's
+// shared seed heads, the same for every caller of a key and instance set.
 func (c *Cache) expansionFor(index *embed.ThresholdIndex, table uint64, concept schema.Concept, tau float64, sources []Representative) *expandEntry {
-	key := expandKey{index: index, table: table, concept: concept}
+	key := conceptKey{index: index, concept: concept}
 	c.expMu.Lock()
 	e, ok := c.exps[key]
-	if !ok || tau < e.tau {
-		e = &expandEntry{tau: tau}
+	if !ok || e.table != table || tau < e.tau {
+		e = &expandEntry{table: table, tau: tau}
 		c.exps[key] = e
 	}
 	c.expMu.Unlock()
@@ -189,18 +174,19 @@ func (e *expandEntry) fitShare(space *embed.Space, basis *embed.Basis, heads []R
 }
 
 // FineTune returns the cached matcher for (space, table content, cfg),
-// fine-tuning and storing one on the first request. Errors are not cached.
-// A nil Cache fine-tunes through a private one, as FineTune does.
+// fine-tuning and storing one on the first request; it replaces the matcher
+// cached for another table under the same space and cfg. Errors are not
+// cached. A nil Cache fine-tunes through a private one, as FineTune does.
 func (c *Cache) FineTune(space *embed.Space, table *schema.Table, cfg Config) (*Matcher, error) {
 	if c == nil || space == nil || table == nil {
 		return FineTune(space, table, cfg) // a private cache; FineTune reports nil inputs
 	}
-	key := cacheKey{index: space.Index(), table: table.Fingerprint(), cfg: cfg}
+	key, fp := tuneKey{index: space.Index(), cfg: cfg}, table.Fingerprint()
 	c.mu.Lock()
-	m, ok := c.entries[key]
+	t, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok {
-		return m, nil
+	if ok && t.table == fp {
+		return t.m, nil
 	}
 	m, err := fineTune(space, table, cfg, c)
 	if err != nil {
@@ -209,10 +195,10 @@ func (c *Cache) FineTune(space *embed.Space, table *schema.Table, cfg Config) (*
 	c.mu.Lock()
 	// Keep the first stored instance if another goroutine raced us, so every
 	// caller shares one matcher (and its memos).
-	if prev, ok := c.entries[key]; ok {
-		m = prev
+	if prev, ok := c.entries[key]; ok && prev.table == fp {
+		m = prev.m
 	} else {
-		c.entries[key] = m
+		c.entries[key] = tuned{table: fp, m: m}
 	}
 	c.mu.Unlock()
 	return m, nil
@@ -223,4 +209,11 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// SeedLen returns the number of cached seed clusters.
+func (c *Cache) SeedLen() int {
+	c.seedMu.Lock()
+	defer c.seedMu.Unlock()
+	return len(c.seeds)
 }

@@ -29,10 +29,11 @@
 // the acceptance floor, so the bound skips nearly every row of a head that
 // cannot be accepted. τ-expansion runs through the space's shared
 // ThresholdIndex, one bound-screened sweep of the vocabulary whose results
-// equal a brute scan. Head fits, subphrase queries, and best seeds are
-// memoized in read-mostly copy-on-write maps (package cow) that cost one
-// atomic load per hit under the pipeline's parallel document workers. Match
-// looks up the best seed c_m only for the candidates it keeps.
+// equal a brute scan. Head fits and best seeds are memoized in read-mostly
+// copy-on-write maps (package cow) that cost one atomic load per hit under
+// the pipeline's parallel document workers. Match looks up the best seed c_m
+// only for the candidates it keeps, and a best-seed miss builds its
+// subphrase query from the space's phrase-vector memo: no query is kept.
 //
 // Fine-tuning uses every core itself: the concepts tune concurrently, one
 // per iteration, and inside each the per-seed-head expansion retrievals and
@@ -45,12 +46,23 @@
 // fill-latency regression from it.
 //
 // A Cache shares the τ-independent parts of a threshold sweep — seed
-// clusters, expansion lists, fit-share profiles and subphrase queries — so a
-// head whose fit profile is cached costs a lookup, not a sweep query.
-// FineTune without a cache tunes through a private one, so every fit comes
-// from a fit-share profile. The cache's locks guard only the maps: each seed
-// cluster and expansion entry is built once, outside them, by the first
-// fine-tune that asks (one sync.Once per entry), so concurrent concepts and
-// concurrent fine-tunes never wait on one another's builds, only on the
-// entry they need.
+// clusters, expansion lists and fit-share profiles — so a head whose fit
+// profile is cached costs a lookup, not a sweep query. A profile is kept in
+// change-point form: the seed-head maximum and the (row, value) points where
+// the floor-clamped prefix maximum over the expansion words rises
+// (embed.Matrix.PrefixMaxRises); the fit at a τ cut is the value of the last
+// point below the cut, and a head that fits no expansion word above the
+// floor stores no point. FineTune without a cache tunes through a private
+// one, so every fit comes from a fit-share profile. The cache's locks guard
+// only the maps: each seed cluster and expansion entry is built once,
+// outside them, by the first fine-tune that asks (one sync.Once per entry),
+// so concurrent concepts and concurrent fine-tunes never wait on one
+// another's builds, only on the entry they need.
+//
+// The cache keeps one generation of each entry: the matcher of the newest
+// table per (space, config), and the seed cluster and expansion entry of the
+// newest column per (space, concept). Fine-tuning on a mutated table
+// replaces what the mutation superseded, so a live table that changes on
+// every write keeps one matcher per configuration; matchers already handed
+// out keep their own pointers.
 package matcher

@@ -27,6 +27,12 @@ import (
 // maximum (duplicates carry equal cosines), and the pruning tiers are
 // conservative.
 //
+// A head's profile is kept in change-point form: the seed-head maximum plus
+// the (row, value) points where the floor-clamped prefix maximum rises.
+// prefixMax[cut] is then the value of the last point below cut, and a head
+// no expansion word fits above the floor — nearly every head — stores no
+// point at all.
+//
 // A fitShare belongs to one expansion-entry generation: if a later request
 // lowers the cached τ and recomputes longer lists, the new entry carries a
 // new share, while matchers built against the old generation keep theirs
@@ -43,15 +49,23 @@ type fitShare struct {
 	// bestSim[i] is row i's best retrieval similarity across sources —
 	// non-increasing, so cutAt resolves by binary search.
 	bestSim []float64
-	// prof memoizes per head word the fit profile: prof[0] is the seed-head
-	// maximum, prof[1+i] the prefix maximum of cosines through expMat row i.
-	prof *cow.Map[string, []float64]
+	// prof memoizes each head word's fit profile.
+	prof *cow.Map[string, fitProfile]
+}
+
+// fitProfile is one head word's fit profile in change-point form.
+type fitProfile struct {
+	// seed is the maximum over the seed heads, clamped at the floor.
+	seed float64
+	// rises are the expMat rows where the floor-clamped prefix maximum
+	// rises, in row order, each with the maximum it rises to.
+	rises []embed.Rise
 }
 
 // buildFitShare constructs the shared fit model from the concept's seed heads
 // and its full cached expansion lists; nil lists give the seeds-only profile.
 func buildFitShare(space *embed.Space, basis *embed.Basis, heads []Representative, lists [][]embed.Neighbor) *fitShare {
-	s := &fitShare{prof: cow.New[string, []float64]()}
+	s := &fitShare{prof: cow.New[string, fitProfile]()}
 	hv := make([]embed.Vector, len(heads))
 	for i := range heads {
 		hv[i] = heads[i].Vector
@@ -92,28 +106,27 @@ func (s *fitShare) cutAt(tau float64) int {
 }
 
 // fit returns the exact fit for a head under a τ-prefix of cut rows:
-// max(seed-head maximum, prefix maximum at cut). The head's fit profile is
-// memoized per head across the whole sweep; hq must hold the head's
-// (non-zero) vector, and its query is built only when the profile is missing.
-// The profile sweep starts at the largest float64 below the acceptance floor,
-// so sub-floor maxima come back clamped (they are consumed only through the
-// `fit < floor` rejection test) while above-floor maxima are exact, and the
-// sketch bound skips nearly every sub-floor row.
+// max(seed-head maximum, prefix maximum at cut), where the prefix maximum at
+// cut is the value of the profile's last rise below row cut. The head's fit
+// profile is memoized per head across the whole sweep; hq must hold the
+// head's (non-zero) vector, and its query is built only when the profile is
+// missing. The profile sweeps start at the largest float64 below the
+// acceptance floor, so sub-floor maxima come back clamped (they are consumed
+// only through the `fit < floor` rejection test) while above-floor maxima are
+// exact, and the sketch bound skips nearly every sub-floor row.
 func (s *fitShare) fit(head string, hq *headQuery, cut int) float64 {
 	p, ok := s.prof.Get(head)
 	if !ok {
 		q := hq.query()
 		floor := math.Nextafter(acceptFloorBar, 0)
-		p = make([]float64, 1+s.expMat.Len())
-		p[0] = s.headMat.Max(q, floor)
-		if n := s.expMat.Len(); n > 0 {
-			s.expMat.PrefixMaxFloor(q, 0, n, floor, p[1:])
-		}
+		p.seed = s.headMat.Max(q, floor)
+		p.rises = s.expMat.PrefixMaxRises(q, floor, nil)
 		s.prof.Put(head, p)
 	}
-	best := p[0]
-	if cut > 0 && p[cut] > best {
-		best = p[cut]
+	best := p.seed
+	k := sort.Search(len(p.rises), func(i int) bool { return p.rises[i].Row >= cut })
+	if k > 0 && p.rises[k-1].Max > best {
+		best = p.rises[k-1].Max
 	}
 	return best
 }

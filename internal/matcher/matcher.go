@@ -108,9 +108,7 @@ type Matcher struct {
 	// scores each head against all clusters anyway, so one miss fills the
 	// whole row). Seeded with the seed head words at FineTune time.
 	fitMemo *cow.Map[string, []float64]
-	// subQueries caches the precomputed sweep query per subphrase text.
-	subQueries *cow.Map[string, *embed.Query]
-	ctxPool    sync.Pool // *MatchContext, for the context-free Match API
+	ctxPool sync.Pool // *MatchContext, for the context-free Match API
 }
 
 // sharedSeeds is the τ-independent part of a concept's fine-tuned model:
@@ -181,10 +179,10 @@ func FineTune(space *embed.Space, table *schema.Table, cfg Config) (*Matcher, er
 }
 
 // fineTune is FineTune drawing the τ-independent parts — seed clusters,
-// expansion lists, fit profiles and subphrase queries — from cache, which
-// must not be nil. The concepts are tuned on every core, one concept per
-// iteration, and their clusters then join the matcher in schema order, so
-// the result does not depend on the schedule.
+// expansion lists and fit profiles — from cache, which must not be nil. The
+// concepts are tuned on every core, one concept per iteration, and their
+// clusters then join the matcher in schema order, so the result does not
+// depend on the schedule.
 func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache) (*Matcher, error) {
 	if space == nil || table == nil {
 		return nil, fmt.Errorf("matcher: nil space or table")
@@ -199,8 +197,6 @@ func fineTune(space *embed.Space, table *schema.Table, cfg Config, cache *Cache)
 		byConcept: make(map[schema.Concept]*conceptCluster),
 		basis:     idx.Basis(),
 		fitMemo:   cow.New[string, []float64](),
-		// Sweep queries are τ-independent; share one memo across the sweep.
-		subQueries: cache.queriesFor(idx),
 	}
 	concepts := table.Schema.Concepts
 	clusters := make([]*conceptCluster, len(concepts))
@@ -379,25 +375,16 @@ func (m *Matcher) headFits(head string) []float64 {
 	return fits
 }
 
-// subQuery returns the precomputed sweep query for a subphrase's normalized
-// text, memoized. The phrase embedding itself comes from the space's shared
-// phrase-vector memo.
-func (m *Matcher) subQuery(subText string) *embed.Query {
-	if q, ok := m.subQueries.Get(subText); ok {
-		return q
-	}
-	q := m.basis.Query(m.space.PhraseVectorCached(subText))
-	m.subQueries.Put(subText, &q)
-	return &q
-}
-
 // bestSeed returns the seed instance c_m whose embedding is most similar to
-// the subphrase (earliest seed wins ties, as in the sequential sweep).
+// the subphrase (earliest seed wins ties, as in the sequential sweep). A memo
+// miss builds the subphrase's sweep query from the space's phrase-vector
+// memo; the answer is memoized per concept, across the τ sweep.
 func (m *Matcher) bestSeed(cl *conceptCluster, subText string) string {
 	if s, ok := cl.seedMemo.Get(subText); ok {
 		return s
 	}
-	i, _ := cl.seedMat.ArgMax(m.subQuery(subText), -2.0)
+	q := m.basis.Query(m.space.PhraseVectorCached(subText))
+	i, _ := cl.seedMat.ArgMax(&q, -2.0)
 	s := ""
 	if i >= 0 {
 		s = cl.seeds[i].Phrase

@@ -97,17 +97,13 @@ func BucketBound(i int) time.Duration {
 	return time.Microsecond << i
 }
 
-// bucketIndex maps a duration to its bucket: the smallest i such that the
-// duration, truncated to whole microseconds, is < 2^i µs. Sub-microsecond
-// observations land in bucket 0; anything beyond the last finite bound lands
-// in the overflow bucket.
+// bucketIndex maps a duration to its bucket: the smallest i such that
+// d ≤ BucketBound(i), so every bound is inclusive, as the exposition's `le`
+// says. Durations up to 1µs land in bucket 0; anything beyond the last
+// finite bound lands in the overflow bucket.
 func bucketIndex(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	us := uint64(d / time.Microsecond)
 	i := 0
-	for us >= 1<<uint(i) && i < NumBuckets-1 {
+	for i < NumBuckets-1 && d > BucketBound(i) {
 		i++
 	}
 	return i
@@ -275,13 +271,18 @@ func (h *Histogram) Sum() time.Duration {
 }
 
 // snapshot captures a consistent-enough view of the histogram (individual
-// loads are atomic; the histogram keeps updating concurrently).
+// loads are atomic; the histogram keeps updating concurrently). Count is the
+// sum of the bucket counts it loaded, so the "+Inf" row always equals it even
+// while observations race the read.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{}
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
+	counts := h.counts()
+	for _, c := range counts {
+		s.Count += int64(c)
+	}
 	sum := time.Duration(h.sum.Load())
 	s.SumSeconds = sum.Seconds()
 	if s.Count > 0 {
@@ -291,7 +292,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		}
 		s.MaxSeconds = time.Duration(h.max.Load()).Seconds()
 	}
-	counts := h.counts()
 	var cum int64
 	for i, c := range counts {
 		n := int64(c)

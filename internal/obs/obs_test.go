@@ -18,13 +18,17 @@ func TestBucketBounds(t *testing.T) {
 		{-time.Second, 0},
 		{0, 0},
 		{500 * time.Nanosecond, 0}, // sub-microsecond
-		{time.Microsecond, 1},      // 1µs is the bound of bucket 0, so >= lands in 1
+		{time.Microsecond, 0},      // bounds are inclusive: 1µs ≤ BucketBound(0)
+		{time.Microsecond + 1, 1},
 		{1500 * time.Nanosecond, 1},
-		{2 * time.Microsecond, 2},
+		{2 * time.Microsecond, 1},
 		{3 * time.Microsecond, 2},
-		{4 * time.Microsecond, 3},
-		{time.Millisecond, 10},      // 1000µs ≤ 1024µs = BucketBound(10)
-		{time.Second, 20},           // 1e6µs ≤ 2^20µs = BucketBound(20)
+		{4 * time.Microsecond, 2},
+		{4*time.Microsecond + 1, 3},
+		{time.Millisecond, 10}, // 1000µs ≤ 1024µs = BucketBound(10)
+		{time.Second, 20},      // 1e6µs ≤ 2^20µs = BucketBound(20)
+		{BucketBound(NumBuckets - 2), NumBuckets - 2},
+		{BucketBound(NumBuckets-2) + 1, NumBuckets - 1},
 		{time.Hour, NumBuckets - 1}, // overflow
 	}
 	for _, c := range cases {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,6 +50,57 @@ func render(t *testing.T, reg *Registry, slo *SLO, runtime bool) *promtext.Expos
 		t.Fatalf("exposition does not lint: %v\n%s", probs, sb.String())
 	}
 	return exp
+}
+
+// TestOpenMetricsLintsUnderConcurrentObserve scrapes the exposition 2000
+// times while two goroutines observe one histogram: every scrape must lint,
+// so no snapshot may report a _count that disagrees with its +Inf bucket.
+func TestOpenMetricsLintsUnderConcurrentObserve(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("race.latency")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(time.Duration(g*7+i%4096) * time.Microsecond)
+			}
+		}(g)
+	}
+	failed, first := 0, ""
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		sb.Reset()
+		if err := WriteOpenMetrics(&sb, reg, nil, false); err != nil {
+			failed++
+			first = err.Error()
+			continue
+		}
+		exp, err := promtext.Parse(strings.NewReader(sb.String()))
+		if err != nil {
+			failed++
+			first = err.Error()
+			continue
+		}
+		if probs := promtext.Lint(exp); len(probs) > 0 {
+			if failed == 0 {
+				first = probs[0].String()
+			}
+			failed++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d of 2000 scrapes failed lint; first: %s", failed, first)
+	}
 }
 
 // TestOpenMetricsAgreesWithSnapshot is the /debug/vars–/metrics agreement

@@ -13,6 +13,15 @@
 // so they survive live-table swaps: a new version re-scores only the
 // (phrase, matched seed) pairs it has not seen.
 //
+// Each cache keeps one generation of what a swap can change. The fine-tune
+// cache holds one matcher for the server's configuration, and one seed
+// cluster and expansion entry per concept, of the newest table. The parse
+// cache holds one document group — the document analyses of one subject
+// set, each a list of sentence subjects and phrase lists — for the newest
+// subject set: a swap that adds a row takes a new group, and the old one is
+// collected once the superseded version drains. After every batch the
+// thor_cache_* gauges report the sizes (docs/OBSERVABILITY.md).
+//
 // # Request flow
 //
 //	handler ──enqueue──▶ bounded queue ──▶ coalescer ──▶ one thor.RunContext

@@ -1,14 +1,15 @@
 package thor
 
 import (
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"thor/internal/cow"
 	"thor/internal/embed"
 	"thor/internal/phrase"
 	"thor/internal/pos"
-	"thor/internal/segment"
 	"thor/internal/text"
 )
 
@@ -20,26 +21,41 @@ type parseKey struct {
 	sent string
 }
 
-// docKey identifies one document analysis: a fingerprint covering everything
-// document analysis depends on besides the document body — the segmenter's
-// subject instances plus the sentence-analysis configuration — together with
-// the document's default subject and its raw text. Segmentation and phrase
-// extraction are pure functions of these inputs (the document's Name is
+// docKey identifies one document analysis within a document group: the
+// document's default subject and its raw text. The group fixes everything
+// else segmentation and phrase extraction depend on (the document's Name is
 // provenance only).
 type docKey struct {
-	cfg     uint64
 	subject string
 	text    string
 }
 
-// docEntry is one cached document analysis: the sentence/subject assignments
-// and, aligned with them, each sentence's extracted noun phrases (nil for
-// sentences without an attributed subject, which are never analyzed). Both
-// slices are immutable once stored.
-type docEntry struct {
-	assignments []segment.Assignment
-	phrases     [][]phrase.Phrase
+// docSentence is what a warm fill reads of one analysed sentence: the
+// subject it was attributed to ("" when none) and its noun phrases (nil for
+// sentences without a subject, which are never analysed). The phrase slice
+// is the sentence level's own, so a document analysed again under another
+// subject set costs only these headers. Immutable once stored.
+type docSentence struct {
+	subject string
+	phrases []phrase.Phrase
 }
+
+// docGroup holds the document analyses made under one subject set, keyed by
+// docFingerprint. A pipeline takes its group at New and keeps it; the cache
+// holds only the newest group, so a group whose subject set is gone lives
+// only as long as a pipeline that took it.
+type docGroup struct {
+	fp   uint64
+	docs *cow.Map[docKey, []docSentence]
+	// alive is finalized when the group is collected. It is an allocation
+	// of its own, so the finalizer holds back only it for a collection
+	// cycle, not the group's entries.
+	alive *groupAlive
+}
+
+// groupAlive decrements the cache's live-group count when its group is
+// collected.
+type groupAlive struct{ live *atomic.Int64 }
 
 // ParseCache shares deterministic text-analysis results — POS tags,
 // dependency parses and the extracted noun phrases — across pipeline runs.
@@ -50,11 +66,13 @@ type docEntry struct {
 //
 // The cache has two granularities. The sentence level (m) keys on the token
 // stream and serves any pipeline whose analysis configuration matches, even
-// across different tables. The document level (docs) additionally covers
-// segmentation — keyed on the subject set, the default subject and the raw
-// text — so a warm document skips straight from body to phrase lists with a
-// single lookup and no per-sentence key building; the serving layer's warm
-// fill path leans on this for its allocation budget.
+// across different tables. The document level additionally covers
+// segmentation: one document group per subject set (see docGroup), keyed
+// within it on the default subject and the raw text, so a warm document
+// skips straight from body to phrase lists with a single lookup and no
+// per-sentence key building; the serving layer's warm fill path leans on
+// this for its allocation budget. A document entry keeps each sentence's
+// subject and phrase list, not its tokens.
 //
 // The cache also holds the refinement scores of every (phrase, matched
 // seed) pair, which depend on neither τ nor the table: Jaccard and Gestalt
@@ -63,8 +81,15 @@ type docEntry struct {
 // matcher.Cache keys on, so a Space.Add — which replaces the index — starts
 // a fresh memo instead of serving stale scores.
 type ParseCache struct {
-	m    *cow.Map[parseKey, []phrase.Phrase]
-	docs *cow.Map[docKey, *docEntry]
+	m *cow.Map[parseKey, []phrase.Phrase]
+
+	groupMu sync.Mutex
+	group   *docGroup
+	// liveGroups counts the document groups not yet collected: the cached
+	// one plus those superseded groups a pipeline still holds. It is
+	// allocated apart from the cache, so the finalizer that decrements it
+	// keeps neither the cache nor a group reachable.
+	liveGroups *atomic.Int64
 
 	refineMu sync.Mutex
 	refine   map[*embed.ThresholdIndex]*cow.Map[[2]string, [3]float64]
@@ -73,10 +98,26 @@ type ParseCache struct {
 // NewParseCache returns an empty parse cache.
 func NewParseCache() *ParseCache {
 	return &ParseCache{
-		m:      cow.New[parseKey, []phrase.Phrase](),
-		docs:   cow.New[docKey, *docEntry](),
-		refine: make(map[*embed.ThresholdIndex]*cow.Map[[2]string, [3]float64]),
+		m:          cow.New[parseKey, []phrase.Phrase](),
+		liveGroups: new(atomic.Int64),
+		refine:     make(map[*embed.ThresholdIndex]*cow.Map[[2]string, [3]float64]),
 	}
+}
+
+// docGroupFor returns the document group for a subject-set fingerprint: the
+// cached group when its fingerprint matches, otherwise a new empty group
+// that replaces it in the cache.
+func (c *ParseCache) docGroupFor(fp uint64) *docGroup {
+	c.groupMu.Lock()
+	defer c.groupMu.Unlock()
+	if g := c.group; g != nil && g.fp == fp {
+		return g
+	}
+	g := &docGroup{fp: fp, docs: cow.New[docKey, []docSentence](), alive: &groupAlive{live: c.liveGroups}}
+	c.liveGroups.Add(1)
+	runtime.SetFinalizer(g.alive, func(a *groupAlive) { a.live.Add(-1) })
+	c.group = g
+	return g
 }
 
 // refineFor returns the refinement-score memo for one vocabulary snapshot,
@@ -95,8 +136,34 @@ func (c *ParseCache) refineFor(index *embed.ThresholdIndex) *cow.Map[[2]string, 
 // Len returns the number of cached sentence analyses.
 func (c *ParseCache) Len() int { return c.m.Len() }
 
-// DocLen returns the number of cached whole-document analyses.
-func (c *ParseCache) DocLen() int { return c.docs.Len() }
+// DocLen returns the number of cached whole-document analyses: those of
+// the cached (newest) document group.
+func (c *ParseCache) DocLen() int {
+	c.groupMu.Lock()
+	g := c.group
+	c.groupMu.Unlock()
+	if g == nil {
+		return 0
+	}
+	return g.docs.Len()
+}
+
+// Groups returns the number of document groups still in memory as of the
+// last garbage collection: the cached group plus superseded ones that some
+// pipeline still holds.
+func (c *ParseCache) Groups() int { return int(c.liveGroups.Load()) }
+
+// RefineLen returns the number of memoized refinement-score pairs, summed
+// over every vocabulary snapshot.
+func (c *ParseCache) RefineLen() int {
+	c.refineMu.Lock()
+	defer c.refineMu.Unlock()
+	n := 0
+	for _, r := range c.refine {
+		n += r.Len()
+	}
+	return n
+}
 
 // docFingerprint extends a parse fingerprint with the segmentation inputs:
 // the segmenter's subject instances, order-sensitively (Table.Subjects is

@@ -3,6 +3,7 @@ package thor
 import (
 	"time"
 
+	"thor/internal/matcher"
 	"thor/internal/obs"
 )
 
@@ -146,4 +147,48 @@ func newInstruments(reg *obs.Registry) instruments {
 	ins.skipped = reg.Counter("thor.skipped")
 	ins.retried = reg.Counter("thor.retries")
 	return ins
+}
+
+// cacheGauges publishes the sizes of the shared caches a pipeline runs
+// through ("thor.cache.*"), sampled after every run so a cache that grows
+// without bound shows on /metrics. A gauge is nil — and publishing it free —
+// without a registry or without the cache it counts.
+type cacheGauges struct {
+	parse *ParseCache
+	tune  *matcher.Cache
+
+	sentences, documents, groups, refinePairs *obs.Gauge
+	matchers, seedClusters                    *obs.Gauge
+}
+
+func newCacheGauges(reg *obs.Registry, parse *ParseCache, tune *matcher.Cache) cacheGauges {
+	g := cacheGauges{parse: parse, tune: tune}
+	if reg == nil {
+		return g
+	}
+	if parse != nil {
+		g.sentences = reg.Gauge("thor.cache.sentences")
+		g.documents = reg.Gauge("thor.cache.documents")
+		g.groups = reg.Gauge("thor.cache.document_groups")
+		g.refinePairs = reg.Gauge("thor.cache.refine_pairs")
+	}
+	if tune != nil {
+		g.matchers = reg.Gauge("thor.cache.matchers")
+		g.seedClusters = reg.Gauge("thor.cache.seed_clusters")
+	}
+	return g
+}
+
+// publish samples every configured cache's size into its gauge.
+func (g *cacheGauges) publish() {
+	if g.sentences != nil {
+		g.sentences.Set(int64(g.parse.Len()))
+		g.documents.Set(int64(g.parse.DocLen()))
+		g.groups.Set(int64(g.parse.Groups()))
+		g.refinePairs.Set(int64(g.parse.RefineLen()))
+	}
+	if g.matchers != nil {
+		g.matchers.Set(int64(g.tune.Len()))
+		g.seedClusters.Set(int64(g.tune.SeedLen()))
+	}
 }

@@ -61,10 +61,11 @@ type Config struct {
 	// Matcher carries advanced matcher options; Tau is copied into it.
 	Matcher matcher.Config
 	// TuneCache, when set, memoizes matcher fine-tuning across pipelines
-	// keyed by (space, table content, matcher config) — see matcher.Cache.
-	// Threshold sweeps over the same knowledge table then share one
-	// fine-tuned matcher instead of re-expanding identical clusters. Nil
-	// fine-tunes through a private cache; results are identical either way.
+	// keyed by (space, table content, matcher config), keeping the newest
+	// table per (space, config) — see matcher.Cache. Threshold sweeps over
+	// the same knowledge table then share one fine-tuned matcher per τ
+	// instead of re-expanding identical clusters. Nil fine-tunes through a
+	// private cache; results are identical either way.
 	TuneCache *matcher.Cache
 	// ParseCache, when set, shares sentence analysis — POS tagging,
 	// dependency parsing, noun-phrase extraction — across pipelines. The
@@ -73,9 +74,11 @@ type Config struct {
 	// cache may serve differently configured runs. It also shares the
 	// refinement scores of every (phrase, matched seed) pair among all
 	// pipelines over the same embedding space, whatever their τ or table.
-	// Results are identical with or without the cache; only the stage
-	// accounting shifts (a cache hit records the lookup under phrase_extract
-	// and skips the pos_tag / dep_parse observations).
+	// Whole-document analyses are kept per subject set: a pipeline takes
+	// the group of its table's subject set at New, and the cache keeps only
+	// the newest group. Results are identical with or without the cache;
+	// only the stage accounting shifts (a cache hit records the lookup
+	// under phrase_extract and skips the pos_tag / dep_parse observations).
 	ParseCache *ParseCache
 	// UseSemantic/UseJaccard/UseGestalt select the refinement scores that
 	// participate in the combined score. All false means all three (the
@@ -444,6 +447,7 @@ type Pipeline struct {
 	tuneDur time.Duration
 	ins     instruments
 	spars   sparsityInstruments
+	caches  cacheGauges
 	// refine memoizes the three syntactic-refinement similarities per
 	// (phrase, matched seed) pair. The same pairs recur across sentences and
 	// documents, and all three scores are pure functions of the pair and the
@@ -452,11 +456,11 @@ type Pipeline struct {
 	// pipeline over the same space.
 	refine *cow.Map[[2]string, [3]float64]
 	// parse is the optional shared sentence-analysis cache (cfg.ParseCache),
-	// parseFP the pipeline's analysis-configuration fingerprint and docFP
-	// its extension with the segmentation inputs, keying the doc-level tier.
+	// parseFP the pipeline's analysis-configuration fingerprint and docs the
+	// cache's document group for this table's subject set, taken at New.
 	parse   *ParseCache
 	parseFP uint64
-	docFP   uint64
+	docs    *docGroup
 }
 
 // New prepares a pipeline for the given integrated table: it fine-tunes the
@@ -503,11 +507,12 @@ func New(table *schema.Table, space *embed.Space, cfg Config) (*Pipeline, error)
 		tuneDur: tuneDur,
 		ins:     newInstruments(cfg.Metrics),
 		spars:   newSparsityInstruments(cfg.Metrics, table),
+		caches:  newCacheGauges(cfg.Metrics, cfg.ParseCache, cfg.TuneCache),
 		parse:   cfg.ParseCache,
 	}
 	if p.parse != nil {
 		p.parseFP = parseFingerprint(cfg.Lexicon, cfg.NaiveChunking)
-		p.docFP = docFingerprint(p.parseFP, table.Subjects())
+		p.docs = p.parse.docGroupFor(docFingerprint(p.parseFP, table.Subjects()))
 		p.refine = p.parse.refineFor(space.Index())
 	} else {
 		p.refine = cow.New[[2]string, [3]float64]()
@@ -764,6 +769,7 @@ func (p *Pipeline) RunContextOpts(ctx context.Context, docs []segment.Document, 
 	// and filled only exist after the merge and fill phases.
 	p.ins.entities.Add(int64(res.Stats.Entities))
 	p.ins.filled.Add(int64(res.Stats.Filled))
+	p.caches.publish()
 
 	switch {
 	case cancelled:
@@ -871,47 +877,47 @@ func (p *Pipeline) extractDocSafe(ctx context.Context, doc segment.Document, mct
 	return out, err
 }
 
-// analyzeDoc produces one document's sentence/subject assignments and, for
-// every attributed sentence, its candidate noun phrases. With a ParseCache
-// configured, whole-document results are memoized: a warm document costs one
-// lookup (booked under the segment stage) and no per-sentence key building at
-// all — the serving layer's warm fill path depends on this. A miss runs the
-// full analysis (the sentence-level cache tier still applies) and publishes
-// the completed entry; failed analyses publish nothing.
-func (p *Pipeline) analyzeDoc(dr *docRun, doc segment.Document, acc *stageAcc) (docEntry, error) {
+// analyzeDoc produces one document's sentences: for each, the subject it
+// was attributed to and, when it has one, its candidate noun phrases. With a
+// ParseCache configured, whole-document results are memoized in the
+// pipeline's document group: a warm document costs one lookup (booked under
+// the segment stage) and no per-sentence key building at all — the serving
+// layer's warm fill path depends on this. A miss runs the full analysis (the
+// sentence-level cache tier still applies) and publishes the completed
+// entry; failed analyses publish nothing.
+func (p *Pipeline) analyzeDoc(dr *docRun, doc segment.Document, acc *stageAcc) ([]docSentence, error) {
 	if err := p.checkpoint(dr, idxSegment); err != nil {
-		return docEntry{}, err
+		return nil, err
 	}
-	var key docKey
+	key := docKey{subject: doc.DefaultSubject, text: doc.Text}
 	t0 := time.Now()
-	if p.parse != nil {
-		key = docKey{cfg: p.docFP, subject: doc.DefaultSubject, text: doc.Text}
-		if e, ok := p.parse.docs.Get(key); ok {
+	if p.docs != nil {
+		if sents, ok := p.docs.docs.Get(key); ok {
 			if err := p.observeChecked(dr, acc, idxSegment, time.Since(t0)); err != nil {
-				return docEntry{}, err
+				return nil, err
 			}
-			return *e, nil
+			return sents, nil
 		}
 	}
-	e := docEntry{assignments: p.seg.Segment(doc)}
+	asgs := p.seg.Segment(doc)
 	if err := p.observeChecked(dr, acc, idxSegment, time.Since(t0)); err != nil {
-		return docEntry{}, err
+		return nil, err
 	}
-	e.phrases = make([][]phrase.Phrase, len(e.assignments))
-	for i := range e.assignments {
-		if e.assignments[i].Subject == "" {
+	sents := make([]docSentence, len(asgs))
+	for i := range asgs {
+		if asgs[i].Subject == "" {
 			continue
 		}
-		phs, err := p.phrases(dr, e.assignments[i], acc)
+		phs, err := p.phrases(dr, asgs[i], acc)
 		if err != nil {
-			return docEntry{}, err
+			return nil, err
 		}
-		e.phrases[i] = phs
+		sents[i] = docSentence{subject: asgs[i].Subject, phrases: phs}
 	}
-	if p.parse != nil {
-		p.parse.docs.Put(key, &e)
+	if p.docs != nil {
+		p.docs.docs.Put(key, sents)
 	}
-	return e, nil
+	return sents, nil
 }
 
 // extractDoc runs segmentation plus lines 6–15 of Algorithm 1 over one
@@ -920,21 +926,20 @@ func (p *Pipeline) analyzeDoc(dr *docRun, doc segment.Document, acc *stageAcc) (
 func (p *Pipeline) extractDoc(dr *docRun, doc segment.Document, mctx *matcher.MatchContext) (*docOutcome, error) {
 	out := &docOutcome{}
 	semW, jacW, gesW := p.cfg.scoreWeights()
-	entry, err := p.analyzeDoc(dr, doc, &out.stages)
+	sents, err := p.analyzeDoc(dr, doc, &out.stages)
 	if err != nil {
 		return nil, err
 	}
 	p.ins.docs.Add(1)
-	p.ins.sentences.Add(int64(len(entry.assignments)))
-	for si, asg := range entry.assignments {
-		out.sentences++
-		if asg.Subject == "" {
+	p.ins.sentences.Add(int64(len(sents)))
+	out.sentences = len(sents)
+	for _, sent := range sents {
+		if sent.subject == "" {
 			continue
 		}
-		phrases := entry.phrases[si]
-		out.phrases += len(phrases)
-		p.ins.phrases.Add(int64(len(phrases)))
-		for _, ph := range phrases {
+		out.phrases += len(sent.phrases)
+		p.ins.phrases.Add(int64(len(sent.phrases)))
+		for _, ph := range sent.phrases {
 			if err := p.checkpoint(dr, idxMatch); err != nil {
 				return nil, err
 			}
@@ -957,7 +962,7 @@ func (p *Pipeline) extractDoc(dr *docRun, doc segment.Document, mctx *matcher.Ma
 			found := false
 			for _, c := range cands {
 				e := Entity{
-					Subject: asg.Subject,
+					Subject: sent.subject,
 					Doc:     doc.Name,
 					Phrase:  c.Phrase,
 					Concept: c.Concept,

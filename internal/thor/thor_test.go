@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -345,6 +346,84 @@ func checkCachedMatchesUncached(t *testing.T, name string, table *schema.Table, 
 	}
 	if parse.Len() == 0 {
 		t.Errorf("%s: parse cache never populated", name)
+	}
+
+	// A sequence of pipelines whose subject sets change, as a live table's
+	// swaps change them, all through one ParseCache (which keeps only the
+	// newest document group) and one matcher cache. Each pipeline runs when
+	// it is built and again after every later one has replaced its group, so
+	// a pipeline must keep answering from the group it took. Every run must
+	// equal an uncached run over its own table.
+	cfg := base
+	cfg.Tau, cfg.TuneCache, cfg.ParseCache = 0.7, matcher.NewCache(), NewParseCache()
+	variants := subjectVariants(table, docs)
+	pipes := make([]*Pipeline, len(variants))
+	wants := make([]*Result, len(variants))
+	for i, v := range variants {
+		plain := base
+		plain.Tau = cfg.Tau
+		var err error
+		if wants[i], err = Run(v, space, docs, plain); err != nil {
+			t.Fatal(err)
+		}
+		if pipes[i], err = New(v, space, cfg); err != nil {
+			t.Fatal(err)
+		}
+		checkSameResult(t, fmt.Sprintf("%s subject set %d", name, i), pipes[i], docs, wants[i])
+	}
+	for i := len(pipes) - 1; i >= 0; i-- {
+		checkSameResult(t, fmt.Sprintf("%s subject set %d, rerun", name, i), pipes[i], docs, wants[i])
+	}
+	changed := false
+	for _, w := range wants[1:] {
+		changed = changed || w.Stats.Filled != wants[0].Stats.Filled ||
+			!reflect.DeepEqual(w.AllEntities(), wants[0].AllEntities())
+	}
+	if !changed {
+		t.Errorf("%s: the subject sets changed no entity and no fill; the sequence is untested", name)
+	}
+	if got := cfg.ParseCache.DocLen(); got == 0 || got > len(docs) {
+		t.Errorf("%s: the cached document group holds %d documents, want 1..%d", name, got, len(docs))
+	}
+}
+
+// subjectVariants returns tables over table's schema whose subject sets
+// change step by step: without the first document's default subject (the
+// last row when it has none), the table itself, two subjects added (one a
+// word documents use), and the table itself again.
+func subjectVariants(table *schema.Table, docs []segment.Document) []*schema.Table {
+	drop := table.Rows[len(table.Rows)-1]
+	if r := table.Row(docs[0].DefaultSubject); r != nil {
+		drop = r
+	}
+	fewer := schema.NewTable(table.Schema)
+	for _, r := range table.Rows {
+		if r != drop {
+			fewer.SetRow(r)
+		}
+	}
+	more := table.Clone()
+	more.AddRow("Zz Novel Subject")
+	more.AddRow("Brain")
+	return []*schema.Table{fewer, table, more, table.Clone()}
+}
+
+// checkSameResult runs p over docs and asserts its entities, counters and
+// filled table equal want's.
+func checkSameResult(t *testing.T, where string, p *Pipeline, docs []segment.Document, want *Result) {
+	t.Helper()
+	res, err := p.Run(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameEntities(t, where, res.AllEntities(), want.AllEntities())
+	g, w := res.Stats, want.Stats
+	if g.Sentences != w.Sentences || g.Phrases != w.Phrases || g.Candidates != w.Candidates ||
+		g.Entities != w.Entities || g.Filled != w.Filled {
+		t.Fatalf("%s: counters %+v, want %+v", where, g, w)
+	}
+	if res.Table.Fingerprint() != want.Table.Fingerprint() {
+		t.Fatalf("%s: filled table differs", where)
 	}
 }
 
